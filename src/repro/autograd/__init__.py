@@ -19,7 +19,9 @@ The public surface mirrors the familiar torch idioms::
 from repro.autograd.context import (
     fused_ops,
     fused_ops_enabled,
+    inference_mode,
     is_grad_enabled,
+    is_inference,
     no_grad,
     set_fused_ops,
     set_sparse_grads,
@@ -52,6 +54,8 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
+    "inference_mode",
+    "is_inference",
     "sparse_grads",
     "sparse_grads_enabled",
     "set_sparse_grads",

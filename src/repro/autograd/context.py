@@ -17,6 +17,13 @@ pairwise-attention logits).  On by default because the fused paths are
 bit-identical to the op-by-op graphs in float64; turn it off to force
 the reference unfused graphs (``TrainingConfig.fused_ops=False``, or
 the :func:`fused_ops` context below).
+
+A fourth switch marks *inference*: inside :func:`inference_mode`
+stochastic layers (``Dropout``) are the identity whatever the module's
+``training`` flag says.  The flag is a plain attribute shared by every
+thread holding the model, so a scoring call that toggled it would race
+a concurrent forward; the numpy scoring conveniences enter this
+thread-local switch instead and never write the model.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ class _ContextState(threading.local):
         self.grad_enabled = True
         self.sparse_grads = False
         self.fused_ops = True
+        self.inference = False
 
 
 _STATE = _ContextState()
@@ -69,6 +77,22 @@ def enable_grad() -> Iterator[None]:
         yield
     finally:
         _STATE.grad_enabled = previous
+
+
+def is_inference() -> bool:
+    """Return whether stochastic layers are currently disabled."""
+    return _STATE.inference
+
+
+@contextlib.contextmanager
+def inference_mode() -> Iterator[None]:
+    """Context manager that makes ``Dropout`` the identity within its scope."""
+    previous = _STATE.inference
+    _STATE.inference = True
+    try:
+        yield
+    finally:
+        _STATE.inference = previous
 
 
 def sparse_grads_enabled() -> bool:

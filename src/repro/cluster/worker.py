@@ -73,7 +73,7 @@ from repro.cluster.plan import ShardPlan
 from repro.cluster.weights import attach_shared_model
 from repro.core.adhoc import build_adhoc_batch
 from repro.data.io import load_dataset
-from repro.data.loaders import GroupBatch, GroupBatcher
+from repro.data.loaders import GroupBatcher
 from repro.engine.ann import IVFIndex, default_nlist
 from repro.engine.topk import exclusion_mask, topk_indices
 from repro.obs.metrics_registry import MetricsRegistry
@@ -251,10 +251,7 @@ class ShardScorer:
             return np.empty(0, dtype=np.int64), np.empty(0)
         with self._phase("shard.forward", candidates=int(candidates.size)):
             scores = self.model.score_group_items(
-                self._batcher.batch(
-                    np.full(candidates.size, group, dtype=np.int64)
-                ),
-                candidates,
+                self._batcher.batch([group]), candidates
             )
         with self._phase("shard.topk"):
             chosen = topk_indices(scores, k)
@@ -269,14 +266,8 @@ class ShardScorer:
         candidates = self._candidates(exclude, query, k)
         if candidates.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        repeated = GroupBatch(
-            group_ids=np.full(candidates.size, -1, dtype=np.int64),
-            members=np.repeat(single.members, candidates.size, axis=0),
-            mask=np.repeat(single.mask, candidates.size, axis=0),
-            adjacency=np.repeat(single.adjacency, candidates.size, axis=0),
-        )
         with self._phase("shard.forward", candidates=int(candidates.size)):
-            scores = self.model.score_group_items(repeated, candidates)
+            scores = self.model.score_group_items(single, candidates)
         with self._phase("shard.topk"):
             chosen = topk_indices(scores, k)
         return candidates[chosen], scores[chosen]

@@ -9,7 +9,7 @@ exactly like a dataset group.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -73,38 +73,37 @@ class AdhocGroupRecommender:
         self._friend_sets = dataset.friend_set()
         self._user_items = dataset.user_items()
 
+    def batch(self, members: Sequence[int]) -> GroupBatch:
+        """The one-row batch of an ad-hoc group (canonical member order)."""
+        return build_adhoc_batch([members], self._friend_sets)
+
     def score(self, members: Sequence[int], item_ids: np.ndarray) -> np.ndarray:
         """r^G scores of one ad-hoc group for the given items."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        single = build_adhoc_batch([members], self._friend_sets)
-        batch = GroupBatch(
-            group_ids=np.full(len(item_ids), -1, dtype=np.int64),
-            members=np.repeat(single.members, len(item_ids), axis=0),
-            mask=np.repeat(single.mask, len(item_ids), axis=0),
-            adjacency=np.repeat(single.adjacency, len(item_ids), axis=0),
-        )
-        return self.model.score_group_items(batch, item_ids)
+        return self.model.score_group_items(self.batch(members), item_ids)
 
     def recommend(
         self,
         members: Sequence[int],
         k: int = 10,
         exclude_member_history: bool = True,
+        batch: Optional[GroupBatch] = None,
     ) -> np.ndarray:
-        """Top-K item ids for an ad-hoc group, best first."""
+        """Top-K item ids for an ad-hoc group, best first.
+
+        ``batch``: :meth:`batch` of ``members``, when already built.
+        """
+        from repro.evaluation.ranking import top_k_items  # late: engine imports us
+
+        if batch is None:
+            batch = self.batch(members)
         exclude: Set[int] = set()
         if exclude_member_history:
-            for member in members:
-                exclude |= self._user_items[int(member)]
-        candidates = np.array(
-            [item for item in range(self.dataset.num_items) if item not in exclude],
-            dtype=np.int64,
-        )
-        if candidates.size == 0:
-            return candidates
-        scores = self.score(members, candidates)
-        order = np.argsort(-scores, kind="stable")
-        return candidates[order[:k]]
+            exclude = exclude.union(*(self._user_items[int(m)] for m in members))
+
+        def scorer(__, items):
+            return self.model.score_group_items(batch, items)
+
+        return top_k_items(scorer, -1, self.dataset.num_items, k, exclude)
 
     @staticmethod
     def canonical_members(members: Sequence[int]) -> np.ndarray:
@@ -122,6 +121,5 @@ class AdhocGroupRecommender:
         Returned in :meth:`canonical_members` order (one weight per
         unique member; duplicates in ``members`` collapse).
         """
-        batch = build_adhoc_batch([members], self._friend_sets)
-        gamma = self.model.member_attention(batch, np.array([item_id]))
+        gamma = self.model.member_attention(self.batch(members), np.array([item_id]))
         return gamma[0][: self.canonical_members(members).size]

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import dtype_policy, no_grad
+from repro.autograd import dtype_policy, inference_mode, no_grad
 from repro.autograd.tensor import Tensor
 from repro.core.config import GroupSAConfig
 from repro.core.prediction import PredictionTower
@@ -114,6 +114,56 @@ class GroupSA(Module):
         return self._top_neighbours
 
     # ------------------------------------------------------------------
+    # The two halves of each forward.  The *entity* halves (voting
+    # rounds to Eq. 6; h_j, Eqs. 11-19) never see the candidate item;
+    # the *item* halves (Eqs. 7-10, 20, 22, 23) start where it enters.
+    # The differentiable forwards compose them row by row, the numpy
+    # conveniences run the entity half once per distinct entity.
+    # ------------------------------------------------------------------
+
+    def _latent_user(self, emb_user: Tensor, user_ids: np.ndarray) -> Optional[Tensor]:
+        """Entity half of r^R: h_j (Eq. 19); None when r^R is r^{R_1} alone."""
+        if self.user_modeling is None or self.config.blend_weight == 0.0:
+            return None
+        return self.user_modeling(emb_user, user_ids, self._require_tables())
+
+    def _embedding_score(self, emb_user: Tensor, item_ids: np.ndarray) -> Tensor:
+        """Item half, embedding path: r^{R_1} of Eq. (22)."""
+        return self.user_tower(emb_user, self.item_embedding(item_ids))
+
+    def _blend(
+        self,
+        embedding_score: Tensor,
+        latent_user: Optional[Tensor],
+        item_ids: np.ndarray,
+    ) -> Tuple[Tensor, Optional[Tensor]]:
+        """Item half, latent path: r^{R_2} and the blend of Eq. (23)."""
+        if latent_user is None:
+            return embedding_score, None
+        latent_item = self.user_modeling.item_factor(item_ids)
+        latent_score = self.user_tower(latent_user, latent_item)
+        weight = self.config.blend_weight
+        if weight == 1.0:
+            return latent_score, embedding_score
+        blended = embedding_score * (1.0 - weight) + latent_score * weight
+        return blended, embedding_score
+
+    def _voted_members(
+        self, members: np.ndarray, mask: np.ndarray, adjacency: np.ndarray
+    ) -> Tensor:
+        """Entity half of r^G: members after the voting rounds (to Eq. 6)."""
+        voted, __ = self.voting(self.user_embedding(members), adjacency, mask)
+        return voted
+
+    def _group_item_half(
+        self, voted: Tensor, mask: np.ndarray, item_ids: np.ndarray
+    ) -> Tuple[Tensor, Tensor]:
+        """Item half of r^G: Eqs. (7)-(10) and the tower of Eq. (20)."""
+        item_embeddings = self.item_embedding(item_ids)
+        group_representation, gamma = self.aggregation(voted, item_embeddings, mask)
+        return self.group_tower(group_representation, item_embeddings), gamma
+
+    # ------------------------------------------------------------------
     # Differentiable forward passes
     # ------------------------------------------------------------------
 
@@ -137,19 +187,11 @@ class GroupSA(Module):
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         emb_user = self.user_embedding(user_ids)
-        emb_item = self.item_embedding(item_ids)
-        embedding_score = self.user_tower(emb_user, emb_item)
-        weight = self.config.blend_weight
-        if self.user_modeling is None or weight == 0.0:
-            return embedding_score, None
-        tables = self._require_tables()
-        latent_user = self.user_modeling(emb_user, user_ids, tables)
-        latent_item = self.user_modeling.item_factor(item_ids)
-        latent_score = self.user_tower(latent_user, latent_item)
-        if weight == 1.0:
-            return latent_score, embedding_score
-        blended = embedding_score * (1.0 - weight) + latent_score * weight
-        return blended, embedding_score
+        # r^{R_1} before h_j: the dropout layers share one generator, so
+        # the call order is part of the training trajectory.
+        embedding_score = self._embedding_score(emb_user, item_ids)
+        latent_user = self._latent_user(emb_user, user_ids)
+        return self._blend(embedding_score, latent_user, item_ids)
 
     def group_scores(
         self, batch: GroupBatch, item_ids: np.ndarray
@@ -163,59 +205,86 @@ class GroupSA(Module):
     ) -> Tuple[Tensor, Tensor]:
         """Return (scores (B,), member attention weights gamma (B, L))."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        member_embeddings = self.user_embedding(batch.members)
-        voted, __ = self.voting(member_embeddings, batch.adjacency, batch.mask)
-        item_embeddings = self.item_embedding(item_ids)
-        group_representation, gamma = self.aggregation(
-            voted, item_embeddings, batch.mask
-        )
-        scores = self.group_tower(group_representation, item_embeddings)
-        return scores, gamma
+        voted = self._voted_members(batch.members, batch.mask, batch.adjacency)
+        return self._group_item_half(voted, batch.mask, item_ids)
 
     # ------------------------------------------------------------------
-    # Numpy conveniences (evaluation, no_grad, chunked)
+    # Numpy conveniences (evaluation: no_grad + inference_mode, chunked)
     # ------------------------------------------------------------------
 
     def score_user_items(
         self, user_ids: np.ndarray, item_ids: np.ndarray, chunk: int = 4096
     ) -> np.ndarray:
-        """Evaluate r^R for aligned (user, item) arrays without autograd."""
-        self.eval()
+        """Evaluate r^R for aligned (user, item) arrays, user modeling once per user."""
+        user_ids = np.asarray(user_ids, dtype=np.int64)
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        if user_ids.size == 0:
+            return np.empty(0, dtype=self.user_embedding.weight.data.dtype)
+        users, rows = np.unique(user_ids, return_inverse=True)
+        users = _never_alone(users)
         outputs = []
-        with no_grad():
+        with no_grad(), inference_mode():
+            emb_user = self.user_embedding(users)
+            latent_user = self._latent_user(emb_user, users)
             for start in range(0, len(user_ids), chunk):
-                stop = start + chunk
-                outputs.append(
-                    self.user_scores(user_ids[start:stop], item_ids[start:stop]).data
+                pick = rows[start : start + chunk]
+                items = item_ids[start : start + chunk]
+                blended, __ = self._blend(
+                    self._embedding_score(emb_user[pick], items),
+                    None if latent_user is None else latent_user[pick],
+                    items,
                 )
-        self.train()
-        return np.concatenate(outputs) if outputs else np.empty(0)
+                outputs.append(blended.data)
+        return np.concatenate(outputs)
 
     def score_group_items(
         self, batch: GroupBatch, item_ids: np.ndarray, chunk: int = 1024
     ) -> np.ndarray:
-        """Evaluate r^G for an aligned batch of groups and items."""
-        self.eval()
+        """Evaluate r^G for a batch aligned with ``item_ids``, or of one
+        row scored against every item (numpy's broadcasting rule).
+
+        The voting network runs once per run of identical consecutive
+        rows; a duplicate further apart is merely evaluated again.
+        """
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        members, mask, adjacency = batch.members, batch.mask, batch.adjacency
+        if len(members) not in (1, len(item_ids)):
+            raise ValueError(
+                f"{len(members)} batch rows for {len(item_ids)} items; need 1 or equal"
+            )
+        if item_ids.size == 0:
+            return np.empty(0, dtype=self.user_embedding.weight.data.dtype)
+        head = np.ones(len(members), dtype=bool)
+        head[1:] = (
+            (members[1:] != members[:-1]).any(axis=1)
+            | (mask[1:] != mask[:-1]).any(axis=1)
+            | (adjacency[1:] != adjacency[:-1]).any(axis=(1, 2))
+        )
+        rows = np.broadcast_to(np.cumsum(head) - 1, item_ids.shape)
+        heads = _never_alone(np.flatnonzero(head))
+        mask = mask[heads]
         outputs = []
-        with no_grad():
+        with no_grad(), inference_mode():
+            voted = self._voted_members(members[heads], mask, adjacency[heads])
             for start in range(0, len(item_ids), chunk):
-                stop = start + chunk
-                sub = GroupBatch(
-                    group_ids=batch.group_ids[start:stop],
-                    members=batch.members[start:stop],
-                    mask=batch.mask[start:stop],
-                    adjacency=batch.adjacency[start:stop],
+                pick = rows[start : start + chunk]
+                scores, __ = self._group_item_half(
+                    voted[pick], mask[pick], item_ids[start : start + chunk]
                 )
-                outputs.append(self.group_scores(sub, item_ids[start:stop]).data)
-        self.train()
-        return np.concatenate(outputs) if outputs else np.empty(0)
+                outputs.append(scores.data)
+        return np.concatenate(outputs)
 
     def member_attention(
         self, batch: GroupBatch, item_ids: np.ndarray
     ) -> np.ndarray:
         """The gamma weights of Eq. (10) — the case study's Table IV."""
-        self.eval()
-        with no_grad():
+        with no_grad(), inference_mode():
             __, gamma = self.group_forward(batch, item_ids)
-        self.train()
         return gamma.data
+
+
+def _never_alone(ids: np.ndarray) -> np.ndarray:
+    """Double a single id: numpy hands ``(1, d) @ (d, h)`` to a matrix-vector
+    kernel whose last bits differ from the gemm every taller stack gets, so
+    a lone entity's scores would depend on what else shares its call."""
+    return np.repeat(ids, 2) if ids.size == 1 else ids

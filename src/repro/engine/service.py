@@ -502,11 +502,7 @@ class InferenceEngine:
         users_flat = np.concatenate(user_chunks)
         items_flat = np.concatenate(candidate_sets)
         with span("forward", rows=int(items_flat.size), requests=len(indices)):
-            scores_flat = (
-                state.model.score_user_items(users_flat, items_flat)
-                if items_flat.size
-                else np.empty(0)
-            )
+            scores_flat = state.model.score_user_items(users_flat, items_flat)
         with span("topk", requests=len(indices)):
             offset = 0
             for index, candidates in zip(indices, candidate_sets):
@@ -582,25 +578,12 @@ class InferenceEngine:
                 candidates = np.nonzero(~mask)[0]
             else:
                 candidates = np.arange(self.dataset.num_items, dtype=np.int64)
-            if candidates.size == 0:
-                results[index] = (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0),
-                )
-                continue
-            single = entry.batch
-            repeated = GroupBatch(
-                group_ids=np.full(candidates.size, -1, dtype=np.int64),
-                members=np.repeat(single.members, candidates.size, axis=0),
-                mask=np.repeat(single.mask, candidates.size, axis=0),
-                adjacency=np.repeat(single.adjacency, candidates.size, axis=0),
-            )
             with span(
                 "forward",
                 member_count=len(key),
                 candidates=int(candidates.size),
             ):
-                scores = state.model.score_group_items(repeated, candidates)
+                scores = state.model.score_group_items(entry.batch, candidates)
             with span("topk"):
                 chosen = topk_indices(scores, k)
             results[index] = (candidates[chosen], scores[chosen])

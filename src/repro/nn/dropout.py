@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.context import is_inference
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 from repro.utils import RngLike, ensure_rng
@@ -12,6 +13,8 @@ from repro.utils import RngLike, ensure_rng
 class Dropout(Module):
     """Randomly zero activations during training, identity in eval mode.
 
+    Also the identity inside :func:`repro.autograd.inference_mode`,
+    the thread-local switch scoring code uses instead of ``eval()``.
     Uses inverted scaling so expected activations match between modes.
     """
 
@@ -23,7 +26,7 @@ class Dropout(Module):
         self._rng = ensure_rng(rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
+        if not self.training or self.rate == 0.0 or is_inference():
             return x
         keep = 1.0 - self.rate
         mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep

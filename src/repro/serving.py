@@ -268,17 +268,16 @@ class RecommendationService:
                 items, scores, version = self.engine.topk_group_versioned(group, k)
             else:
                 exclude = self.dataset.group_items()[group]
+                single = self._batcher.batch([group])
 
-                def scorer(groups, target_items):
-                    return self.model.score_group_items(
-                        self._batcher.batch(groups), target_items
-                    )
+                def scorer(__, target_items):
+                    return self.model.score_group_items(single, target_items)
 
                 with span("direct.score"):
                     items = top_k_items(
                         scorer, group, self.dataset.num_items, k, exclude
                     )
-                    scores = scorer(np.full(items.size, group, dtype=np.int64), items)
+                    scores = scorer(group, items)
             weights = self._explain(group, int(items[0])) if items.size else None
             return Recommendation(
                 entity=f"group:{group}",
@@ -311,6 +310,8 @@ class RecommendationService:
             member_count=len(canonical),
             k=k,
         ) as root:
+            # One batch serves ranking, scores and the explanation.
+            batch = self._adhoc.batch(members)
             version = self.model_version
             if self.router is not None:
                 items, scores, version = self.router.topk_members_versioned(
@@ -322,14 +323,12 @@ class RecommendationService:
                 )
             else:
                 with span("direct.score"):
-                    items = self._adhoc.recommend(members, k=k)
-                    scores = (
-                        self._adhoc.score(members, items) if items.size else np.empty(0)
-                    )
+                    items = self._adhoc.recommend(members, k=k, batch=batch)
+                    scores = self.model.score_group_items(batch, items)
             weights = None
             if items.size:
-                gamma = self._adhoc.voting_weights(members, int(items[0]))
-                # gamma rows follow the ad-hoc batch's member axis, which is
+                gamma = self.model.member_attention(batch, items[:1])[0]
+                # gamma follows the ad-hoc batch's member axis, which is
                 # exactly `canonical`; zip them explicitly.
                 weights = {int(m): float(w) for m, w in zip(canonical, gamma)}
             return Recommendation(

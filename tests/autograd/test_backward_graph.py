@@ -1,9 +1,17 @@
 """Backward-pass machinery: accumulation, detach, no_grad, errors."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, is_grad_enabled, no_grad
+from repro.autograd import (
+    Tensor,
+    inference_mode,
+    is_grad_enabled,
+    is_inference,
+    no_grad,
+)
 from repro.autograd.context import enable_grad
 
 
@@ -78,6 +86,25 @@ class TestGraphControl:
             with no_grad():
                 raise ValueError("boom")
         assert is_grad_enabled()
+
+    def test_inference_mode_restores_state(self):
+        assert not is_inference()
+        with inference_mode():
+            assert is_inference()
+            assert is_grad_enabled()  # an independent switch
+        assert not is_inference()
+        with pytest.raises(ValueError):
+            with inference_mode():
+                raise ValueError("boom")
+        assert not is_inference()
+
+    def test_inference_mode_is_thread_local(self):
+        seen = []
+        with inference_mode():
+            worker = threading.Thread(target=lambda: seen.append(is_inference()))
+            worker.start()
+            worker.join(timeout=10)
+        assert seen == [False]
 
     def test_detach_cuts_graph(self):
         a = Tensor([2.0], requires_grad=True)

@@ -70,6 +70,33 @@ class TestAdhocRecommender:
         top = recommender.recommend([0, 1], k=5, exclude_member_history=False)
         assert len(top) == 5
 
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    def test_recommend_matches_the_loop_and_argsort_ranking(
+        self, recommender, tiny_split, exclude_history
+    ):
+        # The ranking recommend() used before it moved to the shared
+        # exclusion_mask + topk_indices kernels: a Python candidate loop
+        # and a full stable argsort (descending score, ascending id).
+        members = [4, 9, 23]
+        exclude = set()
+        if exclude_history:
+            for member in members:
+                exclude |= tiny_split.train.user_items()[member]
+        candidates = np.array(
+            [i for i in range(tiny_split.train.num_items) if i not in exclude]
+        )
+        scores = recommender.score(members, candidates)
+        expected = candidates[np.argsort(-scores, kind="stable")[:7]]
+        got = recommender.recommend(members, k=7, exclude_member_history=exclude_history)
+        assert got.tolist() == expected.tolist()
+        prebuilt = recommender.recommend(
+            members,
+            k=7,
+            exclude_member_history=exclude_history,
+            batch=recommender.batch(members),
+        )
+        assert prebuilt.tolist() == expected.tolist()
+
     def test_matches_dataset_group_scoring(self, recommender, trained_tiny_model, tiny_split):
         # Scoring the member list of a real group ad-hoc must equal
         # scoring the group through the batcher (same members, same

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, inference_mode
 from repro.nn import Dropout, Embedding, LayerNorm, Linear
 from repro.nn import init as nn_init
 
@@ -102,6 +102,14 @@ class TestDropout:
         layer.train(False)
         x = Tensor(rng.normal(size=(10, 10)))
         np.testing.assert_array_equal(layer(x).data, x.data)
+
+    def test_inference_mode_is_identity_without_touching_the_flag(self, rng):
+        layer = Dropout(0.5, rng=rng)
+        x = Tensor(rng.normal(size=(10, 10)))
+        with inference_mode():
+            np.testing.assert_array_equal(layer(x).data, x.data)
+        assert layer.training
+        assert (layer(x).data == 0).any()
 
     def test_zero_rate_is_identity(self, rng):
         layer = Dropout(0.0, rng=rng)
