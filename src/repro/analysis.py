@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import no_grad
+from repro.autograd import inference_mode, no_grad
 from repro.core.groupsa import GroupSA
 from repro.data.loaders import GroupBatch
 from repro.nn.attention import social_bias_matrix
@@ -29,15 +29,13 @@ def voting_rounds_trace(model: GroupSA, batch: GroupBatch) -> List[np.ndarray]:
     """
     if not model.voting.enabled:
         return []
-    model.eval()
     traces: List[np.ndarray] = []
-    with no_grad():
+    with no_grad(), inference_mode():
         bias = social_bias_matrix(batch.adjacency, member_mask=batch.mask)
         x = model.user_embedding(batch.members)
         for layer in model.voting.layers:
             x, weights = layer(x, bias)
             traces.append(weights.data.copy())
-    model.train()
     return traces
 
 

@@ -15,12 +15,12 @@ that is the bridge the joint two-stage training exploits.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autograd import dtype_policy, inference_mode, no_grad
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, stack
 from repro.core.config import GroupSAConfig
 from repro.core.prediction import PredictionTower
 from repro.core.user_modeling import UserModeling
@@ -168,7 +168,7 @@ class GroupSA(Module):
     # ------------------------------------------------------------------
 
     def user_scores(self, user_ids: np.ndarray, item_ids: np.ndarray) -> Tensor:
-        """Blended user-item ranking score r^R of Eq. (23), shape (B,)."""
+        """Blended user-item ranking score r^R of Eq. (23), of ``item_ids.shape``."""
         blended, __ = self.user_score_components(user_ids, item_ids)
         return blended
 
@@ -176,6 +176,10 @@ class GroupSA(Module):
         self, user_ids: np.ndarray, item_ids: np.ndarray
     ) -> Tuple[Tensor, Optional[Tensor]]:
         """Return (blended score r^R, embedding-path score r^{R_1}).
+
+        ``item_ids`` is (B,) — one item per user row — or (B, C): C
+        candidates per row, scored against one gather of ``emb^U`` and
+        one h_j.  Both scores have ``item_ids.shape``.
 
         The second element is None when the model has no user-modeling
         component (the blend then *is* the embedding score).  Training
@@ -186,27 +190,46 @@ class GroupSA(Module):
         """
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        columns = _candidate_columns(item_ids, len(user_ids))
         emb_user = self.user_embedding(user_ids)
         # r^{R_1} before h_j: the dropout layers share one generator, so
         # the call order is part of the training trajectory.
-        embedding_score = self._embedding_score(emb_user, item_ids)
+        embedding_scores = [self._embedding_score(emb_user, items) for items in columns]
         latent_user = self._latent_user(emb_user, user_ids)
-        return self._blend(embedding_score, latent_user, item_ids)
+        blended, embedding = zip(
+            *(
+                self._blend(score, latent_user, items)
+                for score, items in zip(embedding_scores, columns)
+            )
+        )
+        return (
+            _join_columns(blended, item_ids.ndim),
+            None if latent_user is None else _join_columns(embedding, item_ids.ndim),
+        )
 
     def group_scores(
         self, batch: GroupBatch, item_ids: np.ndarray
     ) -> Tensor:
-        """Group-item ranking score r^G of Eq. (20), shape (B,)."""
+        """Group-item ranking score r^G of Eq. (20), of ``item_ids.shape``."""
         scores, __ = self.group_forward(batch, item_ids)
         return scores
 
     def group_forward(
         self, batch: GroupBatch, item_ids: np.ndarray
     ) -> Tuple[Tensor, Tensor]:
-        """Return (scores (B,), member attention weights gamma (B, L))."""
+        """Return (scores, member attention weights gamma).
+
+        ``item_ids`` is (B,) or (B, C) — C candidates per group row
+        after one run of the voting rounds; scores have
+        ``item_ids.shape`` and gamma one more axis of length L.
+        """
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        columns = _candidate_columns(item_ids, len(batch))
         voted = self._voted_members(batch.members, batch.mask, batch.adjacency)
-        return self._group_item_half(voted, batch.mask, item_ids)
+        scores, gamma = zip(
+            *(self._group_item_half(voted, batch.mask, items) for items in columns)
+        )
+        return _join_columns(scores, item_ids.ndim), _join_columns(gamma, item_ids.ndim)
 
     # ------------------------------------------------------------------
     # Numpy conveniences (evaluation: no_grad + inference_mode, chunked)
@@ -281,6 +304,21 @@ class GroupSA(Module):
         with no_grad(), inference_mode():
             __, gamma = self.group_forward(batch, item_ids)
         return gamma.data
+
+
+def _candidate_columns(item_ids: np.ndarray, rows: int) -> Tuple[np.ndarray, ...]:
+    """The C columns of (B, C) candidate ids; (B,) ids are their own one."""
+    if item_ids.ndim not in (1, 2) or len(item_ids) != rows:
+        raise ValueError(
+            f"item_ids of shape {item_ids.shape} for {rows} entity rows; "
+            f"need ({rows},) or ({rows}, C)"
+        )
+    return (item_ids,) if item_ids.ndim == 1 else tuple(item_ids.T)
+
+
+def _join_columns(columns: Sequence[Tensor], ndim: int) -> Tensor:
+    """Per-column results back in the rank the candidate ids came in."""
+    return columns[0] if ndim == 1 else stack(columns, axis=1)
 
 
 def _never_alone(ids: np.ndarray) -> np.ndarray:

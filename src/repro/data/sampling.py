@@ -7,6 +7,7 @@ Eq. 24 and the Training Method paragraph).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, List, Sequence, Set
 
 import numpy as np
@@ -28,6 +29,22 @@ class NegativeSampler:
         self.interacted = interacted
         self.num_items = num_items
         self._rng = ensure_rng(rng)
+        # What sample_many tests membership against: the observed pairs
+        # as sorted ``entity * num_items + item`` codes.  Items no draw
+        # can produce are left out (they would alias another entity's
+        # codes); the leading -1 matches no pair and keeps the table,
+        # and the lookup's "last code <= mine", defined when it is empty.
+        self._seen_counts = np.fromiter(
+            map(len, interacted), dtype=np.int64, count=len(interacted)
+        )
+        items = np.fromiter(
+            chain.from_iterable(interacted), dtype=np.int64, count=self._seen_counts.sum()
+        )
+        owners = np.repeat(np.arange(len(interacted)), self._seen_counts)
+        drawable = (items >= 0) & (items < num_items)
+        self._codes = np.sort(
+            np.append(owners[drawable] * num_items + items[drawable], -1)
+        )
 
     def sample(self, entity: int, count: int) -> np.ndarray:
         """Draw ``count`` items not interacted with by ``entity``."""
@@ -45,8 +62,38 @@ class NegativeSampler:
         return negatives
 
     def sample_many(self, entities: np.ndarray, count: int) -> np.ndarray:
-        """Vectorised helper: (len(entities), count) negatives."""
-        return np.stack([self.sample(int(entity), count) for entity in entities])
+        """(len(entities), count) negatives: what :meth:`sample` returns
+        entity by entity, from the same draws.
+
+        ``integers(size=k)`` once and ``size=1`` k times are the same
+        values and leave the generator in the same state, so the
+        per-entity loop is one stream of draws, each tested against the
+        entity of the slot being filled and advancing it when accepted.
+        Here the stream is drawn a block at a time: as many draws as
+        slots are open, tested in one vectorised lookup, kept up to the
+        first rejection; the rest of the block slides one slot back.
+        """
+        entities = np.asarray(entities, dtype=np.int64)
+        exhausted = entities[self._seen_counts[entities] >= self.num_items]
+        if exhausted.size:
+            raise ValueError(f"entity {exhausted[0]} has interacted with every item")
+        slot_codes = np.repeat(entities, count) * self.num_items
+        negatives = np.empty(slot_codes.size, dtype=np.int64)
+        draws = negatives[:0]
+        filled = 0
+        while filled < negatives.size:
+            if draws.size == 0:
+                draws = self._rng.integers(
+                    0, self.num_items, size=negatives.size - filled
+                )
+            codes = slot_codes[filled : filled + draws.size] + draws
+            nearest = self._codes[np.searchsorted(self._codes, codes, side="right") - 1]
+            rejected = np.flatnonzero(nearest == codes)
+            accepted = rejected[0] if rejected.size else draws.size
+            negatives[filled : filled + accepted] = draws[:accepted]
+            filled += accepted
+            draws = draws[accepted + 1 :]
+        return negatives.reshape(len(entities), count)
 
 
 def bpr_triple_batches(

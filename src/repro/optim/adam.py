@@ -240,60 +240,51 @@ class Adam(Optimizer):
         ``rows is None`` means every row.  For each recorded gradient
         step a stale row missed, the dense path would have applied the
         update with that row's gradient slice equal to zero; this loop
-        re-executes exactly those ops (grouped over rows that share the
-        same staleness, so each group advances vectorized).
+        re-executes exactly those ops, once per missed step over the
+        prefix of rows that missed it (see :meth:`LazyRowState.walk`).
         """
         lazy = self._lazy[index]
         if lazy is None:
             return
-        if rows is None:
-            rows = np.flatnonzero(lazy.last < upto)
-        else:
-            rows = rows[lazy.last[rows] < upto]
-        if rows.size == 0:
-            return
+        rows = lazy.stale_rows(rows, upto)
         first = self._first_moment[index]
         second = self._second_moment[index]
         data = parameter.data
-        reduce_axes = tuple(range(1, data.ndim))
-        for anchor, group in lazy.group_rows_by_last(rows):
-            if not lazy.has_steps_between(anchor, upto):
-                lazy.last[group] = upto
-                continue
-            if not self.weight_decay:
-                # Without weight decay the skipped-step gradient is an
-                # exact zero, so rows whose moments are still all-zero
-                # are fixed points of the replay — skip them wholesale.
-                live = np.logical_or(
-                    first[group].any(axis=reduce_axes),
-                    second[group].any(axis=reduce_axes),
-                )
-                stuck = group[~live]
-                if stuck.size:
-                    lazy.last[stuck] = upto
-                group = group[live]
-                if group.size == 0:
-                    continue
-            f = first[group]
-            s = second[group]
-            theta = data[group]
-            for step in lazy.steps_between(anchor, upto):
+        if not self.weight_decay:
+            # Without weight decay the skipped-step gradient is an
+            # exact zero, so rows whose moments are still all-zero
+            # are fixed points of the replay — skip them wholesale.
+            reduce_axes = tuple(range(1, data.ndim))
+            live = np.logical_or(
+                first[rows].any(axis=reduce_axes),
+                second[rows].any(axis=reduce_axes),
+            )
+            lazy.last[rows[~live]] = upto
+            rows = rows[live]
+        walk = lazy.walk(rows, upto)
+        if walk:
+            f = first[rows]
+            s = second[rows]
+            theta = data[rows]
+            for step, n in walk:
                 bias1 = 1.0 - self.beta1**step
                 bias2 = 1.0 - self.beta2**step
                 if self.weight_decay:
-                    g = 2.0 * self.weight_decay * theta
-                    f *= self.beta1
-                    f += (1.0 - self.beta1) * g
-                    s *= self.beta2
-                    s += (1.0 - self.beta2) * g**2
+                    g = 2.0 * self.weight_decay * theta[:n]
+                    f[:n] *= self.beta1
+                    f[:n] += (1.0 - self.beta1) * g
+                    s[:n] *= self.beta2
+                    s[:n] += (1.0 - self.beta2) * g**2
                 else:
-                    f *= self.beta1
-                    s *= self.beta2
-                theta -= self.lr * (f / bias1) / (np.sqrt(s / bias2) + self.epsilon)
-            first[group] = f
-            second[group] = s
-            data[group] = theta
-            lazy.last[group] = upto
+                    f[:n] *= self.beta1
+                    s[:n] *= self.beta2
+                theta[:n] -= (
+                    self.lr * (f[:n] / bias1) / (np.sqrt(s[:n] / bias2) + self.epsilon)
+                )
+            first[rows] = f
+            second[rows] = s
+            data[rows] = theta
+        lazy.last[rows] = upto
 
     def sync(self) -> None:
         """Apply every deferred row update; afterwards all parameters

@@ -74,31 +74,26 @@ class LazyRowState:
                 break
             yield from range(max(start, after + 1), min(end, upto) + 1)
 
-    def has_steps_between(self, after: int, upto: int) -> bool:
-        for start, end in self.ranges:
-            if end <= after:
-                continue
-            return start <= upto
-        return False
+    def stale_rows(self, rows: Optional[np.ndarray], upto: int) -> np.ndarray:
+        """Those of ``rows`` (None: of all rows) not current through
+        ``upto``, most stale first — the order :meth:`walk` assumes."""
+        if rows is None:
+            rows = np.flatnonzero(self.last < upto)
+        else:
+            rows = rows[self.last[rows] < upto]
+        return rows[np.argsort(self.last[rows], kind="stable")]
 
-    def group_rows_by_last(
-        self, rows: np.ndarray
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(anchor, rows)`` groups sharing the same ``last`` value.
-
-        Grouping keeps the replay loops vectorized across rows: all rows
-        stale since the same step advance together.
-        """
-        lasts = self.last[rows]
-        order = np.argsort(lasts, kind="stable")
-        sorted_rows = rows[order]
-        sorted_lasts = lasts[order]
-        boundaries = np.flatnonzero(np.diff(sorted_lasts)) + 1
-        start = 0
-        for stop in list(boundaries) + [sorted_rows.size]:
-            if stop > start:
-                yield int(sorted_lasts[start]), sorted_rows[start:stop]
-            start = stop
+    def walk(self, stale: np.ndarray, upto: int) -> List[Tuple[int, int]]:
+        """One pass that catches ``stale`` (sorted by :meth:`stale_rows`)
+        up through ``upto``: ``(step, n)`` per recorded gradient step any
+        of them missed, oldest first.  The rows that missed ``step`` are
+        the prefix ``stale[:n]``, so every row still sees exactly the
+        steps after its own ``last``, in order."""
+        if stale.size == 0:
+            return []
+        lasts = self.last[stale]
+        steps = list(self.steps_between(int(lasts[0]), upto))
+        return list(zip(steps, np.searchsorted(lasts, steps, side="left").tolist()))
 
     # ------------------------------------------------------------------
     # Sync

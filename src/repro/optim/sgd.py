@@ -163,44 +163,32 @@ class SGD(Optimizer):
         lazy = self._lazy[index]
         if lazy is None:
             return
-        if rows is None:
-            rows = np.flatnonzero(lazy.last < upto)
-        else:
-            rows = rows[lazy.last[rows] < upto]
-        if rows.size == 0:
-            return
+        rows = lazy.stale_rows(rows, upto)
         velocity = self._velocity[index]
         data = parameter.data
-        reduce_axes = tuple(range(1, data.ndim))
-        for anchor, group in lazy.group_rows_by_last(rows):
-            if not lazy.has_steps_between(anchor, upto):
-                lazy.last[group] = upto
-                continue
-            if not self.weight_decay:
-                # Momentum-only drift: rows with an all-zero velocity
-                # are fixed points of the zero-gradient update.
-                live = velocity[group].any(axis=reduce_axes)
-                stuck = group[~live]
-                if stuck.size:
-                    lazy.last[stuck] = upto
-                group = group[live]
-                if group.size == 0:
-                    continue
-            theta = data[group]
-            v = velocity[group]
-            for _ in lazy.steps_between(anchor, upto):
+        if not self.weight_decay:
+            # Momentum-only drift: rows with an all-zero velocity
+            # are fixed points of the zero-gradient update.
+            live = velocity[rows].any(axis=tuple(range(1, data.ndim)))
+            lazy.last[rows[~live]] = upto
+            rows = rows[live]
+        walk = lazy.walk(rows, upto)
+        if walk:
+            theta = data[rows]
+            v = velocity[rows]
+            for __, n in walk:
                 if self.weight_decay:
-                    g = 2.0 * self.weight_decay * theta
+                    g = 2.0 * self.weight_decay * theta[:n]
                 else:
                     g = 0.0
                 if self.momentum:
-                    v *= self.momentum
-                    v += g
-                    g = v
-                theta -= self.lr * g
-            data[group] = theta
-            velocity[group] = v
-            lazy.last[group] = upto
+                    v[:n] *= self.momentum
+                    v[:n] += g
+                    g = v[:n]
+                theta[:n] -= self.lr * g
+            data[rows] = theta
+            velocity[rows] = v
+        lazy.last[rows] = upto
 
     def sync(self) -> None:
         for index, parameter in enumerate(self.parameters):

@@ -235,18 +235,18 @@ class GroupSATrainer:
         self, users: np.ndarray, positives: np.ndarray, negatives: np.ndarray
     ) -> tuple[float, float]:
         self.optimizer.zero_grad()
-        positive_scores, positive_embedding = self.model.user_score_components(
-            users, positives
+        # Both candidates of a triple in one forward: emb^U is gathered
+        # and h_j built once per row, under one dropout draw.
+        scores, embedding_scores = self.model.user_score_components(
+            users, np.stack([positives, negatives], axis=1)
         )
-        negative_scores, negative_embedding = self.model.user_score_components(
-            users, negatives
-        )
+        positive_scores, negative_scores = scores[:, 0], scores[:, 1]
         loss = bpr_loss(positive_scores, negative_scores)
-        if positive_embedding is not None:
+        if embedding_scores is not None:
             # Auxiliary ranking loss on the raw embedding path so the
             # shared embeddings (consumed by the group voting network)
             # are trained at full strength regardless of w^u.
-            loss = loss + bpr_loss(positive_embedding, negative_embedding)
+            loss = loss + bpr_loss(embedding_scores[:, 0], embedding_scores[:, 1])
         loss.backward()
         self._check_gradients("user")
         self._clip()
@@ -258,8 +258,11 @@ class GroupSATrainer:
     ) -> tuple[float, float]:
         self.optimizer.zero_grad()
         batch = self.batcher.batch(groups)
-        positive_scores = self.model.group_scores(batch, positives)
-        negative_scores = self.model.group_scores(batch, negatives)
+        # One run of the voting rounds per triple, two candidates.
+        scores = self.model.group_scores(
+            batch, np.stack([positives, negatives], axis=1)
+        )
+        positive_scores, negative_scores = scores[:, 0], scores[:, 1]
         loss = bpr_loss(positive_scores, negative_scores)
         loss.backward()
         self._check_gradients("group")

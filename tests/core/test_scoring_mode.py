@@ -1,16 +1,19 @@
 """The numpy scoring conveniences never write the model's mode flag.
 
 ``training`` is a plain attribute every thread holding the model
-reads mid-forward, so ``score_*_items`` / ``member_attention`` switch
-dropout off through the thread-local ``inference_mode()`` instead of
-``eval()`` ... ``train()``.  Also here: their empty-input contract.
+reads mid-forward, so ``score_*_items`` / ``member_attention`` and
+``analysis.voting_rounds_trace`` switch dropout off through the
+thread-local ``inference_mode()`` instead of ``eval()`` ... ``train()``.
+Also here: their empty-input contract.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
+from repro.analysis import voting_rounds_trace
 from repro.autograd import is_grad_enabled, is_inference
 from repro.core import GroupSA
 from repro.core.prediction import PredictionTower
@@ -44,6 +47,7 @@ def call_all(model, batcher):
     model.score_user_items(np.full(10, 3), items)
     model.score_group_items(batcher.batch([2]), items)
     model.member_attention(batcher.batch([2]), np.array([4]))
+    voting_rounds_trace(model, batcher.batch([2]))
 
 
 class TestModeFlag:
@@ -66,6 +70,11 @@ class TestModeFlag:
             model.score_group_items(batcher.batch([2]), bad)
         with pytest.raises(IndexError):
             model.member_attention(batcher.batch([2]), bad)
+        strangers = np.full_like(batcher.batch([2]).members, model.num_users)
+        with pytest.raises(IndexError):
+            voting_rounds_trace(
+                model, dataclasses.replace(batcher.batch([2]), members=strangers)
+            )
         assert flags(model) == before
         assert not is_inference() and is_grad_enabled()
 
@@ -77,12 +86,14 @@ class TestModeFlag:
             model.score_user_items(np.full(items.size, 3), items),
             model.score_group_items(batch, items),
             model.member_attention(batch, items[:1]),
+            *voting_rounds_trace(model, batch),
         )
         model.eval()
         in_eval = (
             model.score_user_items(np.full(items.size, 3), items),
             model.score_group_items(batch, items),
             model.member_attention(batch, items[:1]),
+            *voting_rounds_trace(model, batch),
         )
         for a, b in zip(in_train, in_eval):
             assert np.array_equal(a, b)

@@ -41,6 +41,47 @@ class TestNegativeSampler:
             NegativeSampler([set()], num_items=1)
 
 
+class TestSampleManyIsThePerEntityLoop:
+    """``sample_many`` draws in blocks what ``sample`` draws entity by
+    entity: same negatives, same generator state afterwards."""
+
+    NUM_ITEMS = 40
+
+    @pytest.fixture(scope="class")
+    def interacted(self):
+        rng = np.random.default_rng(0)
+        sets = [
+            set(rng.choice(self.NUM_ITEMS, size=rng.integers(0, 30), replace=False).tolist())
+            for __ in range(20)
+        ]
+        sets.append(set(range(self.NUM_ITEMS)) - {3, 17})  # nearly every draw rejected
+        sets.append(set())
+        sets.append({1, self.NUM_ITEMS + 1, -2})  # ids no draw can produce
+        return sets
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_values_and_generator_state(self, interacted, seed, count):
+        blocks = NegativeSampler(interacted, self.NUM_ITEMS, rng=seed)
+        loop = NegativeSampler(interacted, self.NUM_ITEMS, rng=seed)
+        entities = np.random.default_rng(seed).integers(0, len(interacted), 64)
+        entities[seed] = 20  # the nearly exhausted one, every time
+        for __ in range(3):
+            got = blocks.sample_many(entities, count)
+            want = np.stack([loop.sample(int(entity), count) for entity in entities])
+            np.testing.assert_array_equal(got, want)
+            assert blocks._rng.bit_generator.state == loop._rng.bit_generator.state
+
+    def test_exhausted_entity_raises(self):
+        sampler = NegativeSampler([{0}, set(range(5))], num_items=5, rng=0)
+        with pytest.raises(ValueError, match="entity 1"):
+            sampler.sample_many(np.array([0, 1, 0]), 2)
+
+    def test_no_entities(self):
+        sampler = NegativeSampler([{0}], num_items=5, rng=0)
+        assert sampler.sample_many(np.empty(0, dtype=np.int64), 3).shape == (0, 3)
+
+
 class TestBprTripleBatches:
     def setup_method(self):
         self.edges = np.array([[0, 1], [1, 2], [0, 3], [2, 4]])

@@ -96,6 +96,52 @@ class TestTrainer:
         assert all(isinstance(log, EpochLog) for log in seen)
 
 
+class TestOneEntityHalfPerStep:
+    """A count, not a timing: each step gathers ``emb^U`` and runs user
+    modeling / the voting rounds once for the positive and the negative."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch, tiny_split):
+        from repro.core.user_modeling import UserModeling
+        from repro.core.voting import VotingNetwork
+        from repro.nn import Embedding
+
+        model, batcher = build_model(tiny_split, TINY_MODEL_CONFIG)
+        calls = {"user_modeling": 0, "voting": 0, "user_embedding": 0}
+
+        def count(owner, name, only=None):
+            forward = owner.forward
+
+            def counting(self, *args, **kwargs):
+                if only is None or self is only:
+                    calls[name] += 1
+                return forward(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "forward", counting)
+
+        count(UserModeling, "user_modeling")
+        count(VotingNetwork, "voting")
+        count(Embedding, "user_embedding", only=model.user_embedding)
+        trainer = GroupSATrainer(model, tiny_split, batcher, TINY_TRAINING)
+        return trainer, calls
+
+    def test_user_step(self, counted, tiny_split):
+        trainer, calls = counted
+        users, positives = tiny_split.train.user_item[:32].T
+        negatives = trainer.user_sampler.sample_many(users, 1).reshape(-1)
+        loss, accuracy = trainer._user_step(users, positives, negatives)
+        assert calls == {"user_modeling": 1, "voting": 0, "user_embedding": 1}
+        assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+    def test_group_step(self, counted, tiny_split):
+        trainer, calls = counted
+        groups, positives = tiny_split.train.group_item[:16].T
+        negatives = trainer.group_sampler.sample_many(groups, 1).reshape(-1)
+        loss, accuracy = trainer._group_step(groups, positives, negatives)
+        assert calls == {"user_modeling": 0, "voting": 1, "user_embedding": 1}
+        assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+
 class TestTwoStage:
     def test_train_groupsa_returns_history(self, tiny_split):
         model, batcher, history = train_groupsa(
