@@ -9,7 +9,7 @@ exactly like a dataset group.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -81,18 +81,18 @@ class AdhocGroupRecommender:
         """r^G scores of one ad-hoc group for the given items."""
         return self.model.score_group_items(self.batch(members), item_ids)
 
-    def recommend(
+    def recommend_scored(
         self,
         members: Sequence[int],
         k: int = 10,
         exclude_member_history: bool = True,
         batch: Optional[GroupBatch] = None,
-    ) -> np.ndarray:
-        """Top-K item ids for an ad-hoc group, best first.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-K item ids for an ad-hoc group, best first, and their scores.
 
         ``batch``: :meth:`batch` of ``members``, when already built.
         """
-        from repro.evaluation.ranking import top_k_items  # late: engine imports us
+        from repro.evaluation.ranking import top_k_scored  # late: engine imports us
 
         if batch is None:
             batch = self.batch(members)
@@ -103,7 +103,17 @@ class AdhocGroupRecommender:
         def scorer(__, items):
             return self.model.score_group_items(batch, items)
 
-        return top_k_items(scorer, -1, self.dataset.num_items, k, exclude)
+        return top_k_scored(scorer, -1, self.dataset.num_items, k, exclude)
+
+    def recommend(
+        self,
+        members: Sequence[int],
+        k: int = 10,
+        exclude_member_history: bool = True,
+        batch: Optional[GroupBatch] = None,
+    ) -> np.ndarray:
+        """The item ids of :meth:`recommend_scored`."""
+        return self.recommend_scored(members, k, exclude_member_history, batch)[0]
 
     @staticmethod
     def canonical_members(members: Sequence[int]) -> np.ndarray:

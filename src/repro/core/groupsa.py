@@ -232,33 +232,107 @@ class GroupSA(Module):
         return _join_columns(scores, item_ids.ndim), _join_columns(gamma, item_ids.ndim)
 
     # ------------------------------------------------------------------
-    # Numpy conveniences (evaluation: no_grad + inference_mode, chunked)
+    # Numpy conveniences (evaluation: no_grad + inference_mode, chunked).
+    # The entity half is the Tensor code above, once per distinct entity;
+    # the item half is the modules' plain-numpy twins, once per run of
+    # rows that share an entity.  Item rows still come through
+    # Embedding.forward, so a lazy optimizer's pending rows are caught up.
     # ------------------------------------------------------------------
+
+    def _user_run(
+        self,
+        emb_user: np.ndarray,
+        latent_user: Optional[np.ndarray],
+        item_ids: np.ndarray,
+    ) -> np.ndarray:
+        """Item half of r^R for one user: Eqs. (22)-(23) over (n,) items."""
+        if latent_user is None:
+            return self.user_tower.score_items(
+                emb_user, self.item_embedding(item_ids).data
+            )
+        latent = self.user_tower.score_items(
+            latent_user, self.user_modeling.item_factor(item_ids).data
+        )
+        weight = self.config.blend_weight
+        if weight == 1.0:
+            return latent
+        embedding = self._user_run(emb_user, None, item_ids)
+        return embedding * (1.0 - weight) + latent * weight
+
+    def _group_run(
+        self, voted: np.ndarray, mask: np.ndarray, item_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Item half of r^G for one group: Eqs. (7)-(10), (20) over (n,) items."""
+        items = self.item_embedding(item_ids).data
+        representation, gamma = self.aggregation.aggregate_items(voted, items, mask)
+        return self.group_tower.score_items(representation, items), gamma
 
     def score_user_items(
         self, user_ids: np.ndarray, item_ids: np.ndarray, chunk: int = 4096
     ) -> np.ndarray:
-        """Evaluate r^R for aligned (user, item) arrays, user modeling once per user."""
+        """Evaluate r^R for aligned (user, item) arrays: user modeling once
+        per distinct user, the item half once per user over all its rows
+        (at most ``chunk`` at a time), wherever they sit in the arrays."""
         user_ids = np.asarray(user_ids, dtype=np.int64)
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        out = np.empty(user_ids.size, dtype=self.user_embedding.weight.data.dtype)
         if user_ids.size == 0:
-            return np.empty(0, dtype=self.user_embedding.weight.data.dtype)
-        users, rows = np.unique(user_ids, return_inverse=True)
-        users = _never_alone(users)
-        outputs = []
+            return out
+        users, rows, counts = np.unique(
+            user_ids, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(rows, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        stacked = _never_alone(users)
         with no_grad(), inference_mode():
-            emb_user = self.user_embedding(users)
-            latent_user = self._latent_user(emb_user, users)
-            for start in range(0, len(user_ids), chunk):
-                pick = rows[start : start + chunk]
-                items = item_ids[start : start + chunk]
-                blended, __ = self._blend(
-                    self._embedding_score(emb_user[pick], items),
-                    None if latent_user is None else latent_user[pick],
-                    items,
-                )
-                outputs.append(blended.data)
-        return np.concatenate(outputs)
+            emb_user = self.user_embedding(stacked)
+            latent_user = self._latent_user(emb_user, stacked)
+            for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                for low in range(start, stop, chunk):
+                    where = order[low : min(low + chunk, stop)]
+                    out[where] = self._user_run(
+                        emb_user.data[index],
+                        None if latent_user is None else latent_user.data[index],
+                        item_ids[where],
+                    )
+        return out
+
+    def _group_runs(
+        self, batch: GroupBatch, item_ids: np.ndarray, chunk: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(scores (n,), gamma (n, L)) of a batch aligned with ``item_ids``
+        or of one row against every item, evaluated run by run."""
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        members, mask, adjacency = batch.members, batch.mask, batch.adjacency
+        if len(members) not in (1, len(item_ids)):
+            raise ValueError(
+                f"{len(members)} batch rows for {len(item_ids)} items; need 1 or equal"
+            )
+        dtype = self.user_embedding.weight.data.dtype
+        scores = np.empty(item_ids.size, dtype=dtype)
+        gamma = np.empty((item_ids.size, members.shape[1]), dtype=dtype)
+        if item_ids.size == 0:
+            return scores, gamma
+        head = np.ones(len(members), dtype=bool)
+        head[1:] = (
+            (members[1:] != members[:-1]).any(axis=1)
+            | (mask[1:] != mask[:-1]).any(axis=1)
+            | (adjacency[1:] != adjacency[:-1]).any(axis=(1, 2))
+        )
+        heads = np.flatnonzero(head)
+        bounds = np.append(heads, item_ids.size)
+        picked = _never_alone(heads)
+        with no_grad(), inference_mode():
+            voted = self._voted_members(
+                members[picked], mask[picked], adjacency[picked]
+            ).data
+            for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                for low in range(start, stop, chunk):
+                    rows = slice(low, min(low + chunk, stop))
+                    scores[rows], gamma[rows] = self._group_run(
+                        voted[index], mask[heads[index]], item_ids[rows]
+                    )
+        return scores, gamma
 
     def score_group_items(
         self, batch: GroupBatch, item_ids: np.ndarray, chunk: int = 1024
@@ -266,44 +340,17 @@ class GroupSA(Module):
         """Evaluate r^G for a batch aligned with ``item_ids``, or of one
         row scored against every item (numpy's broadcasting rule).
 
-        The voting network runs once per run of identical consecutive
-        rows; a duplicate further apart is merely evaluated again.
+        The voting network and the item half run once per run of
+        identical consecutive rows; a duplicate further apart is merely
+        evaluated again.
         """
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        members, mask, adjacency = batch.members, batch.mask, batch.adjacency
-        if len(members) not in (1, len(item_ids)):
-            raise ValueError(
-                f"{len(members)} batch rows for {len(item_ids)} items; need 1 or equal"
-            )
-        if item_ids.size == 0:
-            return np.empty(0, dtype=self.user_embedding.weight.data.dtype)
-        head = np.ones(len(members), dtype=bool)
-        head[1:] = (
-            (members[1:] != members[:-1]).any(axis=1)
-            | (mask[1:] != mask[:-1]).any(axis=1)
-            | (adjacency[1:] != adjacency[:-1]).any(axis=(1, 2))
-        )
-        rows = np.broadcast_to(np.cumsum(head) - 1, item_ids.shape)
-        heads = _never_alone(np.flatnonzero(head))
-        mask = mask[heads]
-        outputs = []
-        with no_grad(), inference_mode():
-            voted = self._voted_members(members[heads], mask, adjacency[heads])
-            for start in range(0, len(item_ids), chunk):
-                pick = rows[start : start + chunk]
-                scores, __ = self._group_item_half(
-                    voted[pick], mask[pick], item_ids[start : start + chunk]
-                )
-                outputs.append(scores.data)
-        return np.concatenate(outputs)
+        return self._group_runs(batch, item_ids, chunk)[0]
 
     def member_attention(
         self, batch: GroupBatch, item_ids: np.ndarray
     ) -> np.ndarray:
         """The gamma weights of Eq. (10) — the case study's Table IV."""
-        with no_grad(), inference_mode():
-            __, gamma = self.group_forward(batch, item_ids)
-        return gamma.data
+        return self._group_runs(batch, item_ids, chunk=1024)[1]
 
 
 def _candidate_columns(item_ids: np.ndarray, rows: int) -> Tuple[np.ndarray, ...]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.autograd.tensor import Tensor, concatenate
 from repro.nn import Dropout, Linear, Module, ModuleList
 from repro.utils import RngLike, ensure_rng
@@ -53,3 +55,25 @@ class PredictionTower(Module):
             if self.dropout is not None:
                 x = self.dropout(x)
         return self.scorer(x).reshape(-1)
+
+    def score_items(self, left: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Inference twin of :meth:`forward` on plain arrays (no dropout).
+
+        ``items`` is (n, d); ``left`` is (n, d) rows aligned with it, or
+        one (d,) entity scored against all n — the first layer then
+        splits at the concatenation, ``W [l ⊕ i ⊕ l*i] = W_l l + (W_r +
+        diag(l) W_p) i``, and the entity's term is computed once.
+        """
+        layers = [*self.hidden_layers, self.scorer]
+        dim = items.shape[1]
+        weight = layers[0].weight.data
+        if left.ndim == 1:
+            x = items @ (weight[dim : 2 * dim] + left[:, None] * weight[2 * dim :])
+            x += left @ weight[:dim]
+        else:
+            x = np.concatenate([left, items, left * items], axis=1) @ weight
+        for layer, following in zip(layers, layers[1:]):
+            x += layer.bias.data
+            np.maximum(x, 0.0, out=x)
+            x = x @ following.weight.data
+        return x.reshape(-1)

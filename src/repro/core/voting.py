@@ -17,6 +17,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn import (
+    MASK_VALUE,
     Dropout,
     LayerNorm,
     Linear,
@@ -158,3 +159,37 @@ class GroupAggregation(Module):
         )
         transformed = self.output.forward_relu(aggregated)
         return aggregated + transformed * self.gate, weights
+
+    def aggregate_items(
+        self, voted: np.ndarray, items: np.ndarray, member_mask: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Inference twin of :meth:`forward` for one group against n items.
+
+        ``voted`` (L, d) and ``member_mask`` (L,) are the group's one
+        row, ``items`` is (n, d).  Eq. (9) splits at the concatenation,
+        ``W1 [emb^V ⊕ member] = W_q emb^V + W_c member``: the members'
+        term is one (L, h) block, the items' one (n, d) product.
+        Returns (group representations (n, d), gamma (n, L)).
+        """
+        attention = self.member_attention
+        dim = items.shape[1]
+        weight = attention.score_hidden.weight.data
+        hidden = (items @ weight[:dim])[:, None, :] + (
+            voted @ weight[dim:] + attention.score_hidden.bias.data
+        )
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = hidden @ attention.score_out.weight.data[:, 0]
+        logits += attention.score_out.bias.data
+        logits += np.where(member_mask, 0.0, MASK_VALUE).astype(logits.dtype)
+        logits -= logits.max(axis=1, keepdims=True)
+        gamma = np.exp(logits, out=logits)
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        if member_mask.any():
+            aggregated = gamma @ voted
+        else:  # no valid member: the zero vector, not padding garbage
+            aggregated = np.zeros_like(items)
+        transformed = aggregated @ self.output.weight.data
+        transformed += self.output.bias.data
+        np.maximum(transformed, 0.0, out=transformed)
+        transformed *= self.gate.data
+        return aggregated + transformed, gamma

@@ -51,6 +51,9 @@ class GroupRecommendationDataset:
     _friends_cache: Optional[List[np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
+    _friend_set_cache: Optional[List[Set[int]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.user_item = _as_edges(self.user_item)
@@ -119,7 +122,12 @@ class GroupRecommendationDataset:
         return self._friends_cache
 
     def friend_set(self) -> List[Set[int]]:
-        return [set(neighbours.tolist()) for neighbours in self.friends()]
+        """Per-user set of direct social neighbours."""
+        if self._friend_set_cache is None:
+            self._friend_set_cache = [
+                set(neighbours.tolist()) for neighbours in self.friends()
+            ]
+        return self._friend_set_cache
 
     def item_popularity(self) -> np.ndarray:
         """Interaction count per item over user-item edges."""

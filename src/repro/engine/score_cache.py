@@ -203,14 +203,16 @@ class ScoreCache:
         rows = np.empty((stop - start, self.num_items))
 
         def fill() -> None:
-            # One scorer call per row, each over the full item range:
-            # BLAS results can drift in the last ulp when the batch
-            # shape changes, so scoring row-by-row keeps every cached
-            # row bit-identical to a direct full-row scoring call.
-            for offset, user in enumerate(range(start, stop)):
-                rows[offset] = self.score_fn(
-                    np.full(self.num_items, user, dtype=np.int64), items
-                )
+            # The scorer evaluates each user's rows as one run whoever
+            # else shares the call, so a cached row is bit-identical to a
+            # direct full-row call.  Two calls of whole users: the id
+            # arrays of one never outweigh the block they fill.
+            half = -(-len(rows) // 2)
+            for low in range(0, len(rows), half):
+                users = np.arange(start + low, min(start + low + half, stop))
+                rows[low : low + half] = self.score_fn(
+                    np.repeat(users, self.num_items), np.tile(items, users.size)
+                ).reshape(users.size, self.num_items)
 
         with span("score_cache.block_compute", block=block_id, rows=stop - start):
             if self.telemetry:

@@ -6,8 +6,8 @@ Three request kinds flow through one micro-batch queue:
 - ``user`` — answered from the precomputed score-matrix cache
   (Section II-F fast path): a row fetch, an exclusion mask and a
   partition;
-- ``group`` — dataset groups; concurrent requests are concatenated
-  into a single chunked ``score_group_items`` forward pass;
+- ``group`` — dataset groups; each request is its one batch row scored
+  against its candidates (``score_group_items``'s one-row form);
 - ``adhoc`` — serving-time member lists; the padded batch structure is
   LRU-cached per frozen member tuple, scoring is vectorized over the
   candidate items.
@@ -519,42 +519,15 @@ class InferenceEngine:
         indices: List[int],
         results: List,
     ) -> None:
-        # Concatenate every request's candidate set into one chunked
-        # group-forward pass, then split and rank per request.
-        group_chunks: List[np.ndarray] = []
-        item_chunks: List[np.ndarray] = []
-        candidate_sets: List[np.ndarray] = []
         for index in indices:
             __, group, k, __v = payloads[index]
-            mask = exclusion_mask(self.dataset.num_items, self._group_items[group])
-            if state.ann_index is not None:
-                keep = self._ann_candidates(
-                    state,
-                    self._members_query(state, self.dataset.group_members[group]),
-                    mask,
-                    k,
-                )
-            elif mask is not None:
-                keep = np.nonzero(~mask)[0]
-            else:
-                keep = np.arange(self.dataset.num_items, dtype=np.int64)
-            candidate_sets.append(keep)
-            group_chunks.append(np.full(keep.size, group, dtype=np.int64))
-            item_chunks.append(keep)
-        groups_flat = np.concatenate(group_chunks)
-        items_flat = np.concatenate(item_chunks)
-        with span("forward", rows=int(items_flat.size), requests=len(indices)):
-            scores_flat = state.model.score_group_items(
-                self._batcher.batch(groups_flat), items_flat
+            results[index] = self._rank_one_row(
+                state,
+                self._batcher.batch([group]),
+                self.dataset.group_members[group],
+                self._group_items[group],
+                k,
             )
-        with span("topk", requests=len(indices)):
-            offset = 0
-            for index, candidates in zip(indices, candidate_sets):
-                __, __g, k, __v = payloads[index]
-                scores = scores_flat[offset : offset + candidates.size]
-                offset += candidates.size
-                chosen = topk_indices(scores, k)
-                results[index] = (candidates[chosen], scores[chosen])
 
     def _execute_adhoc(
         self,
@@ -569,24 +542,36 @@ class InferenceEngine:
                 entry, cached = self._adhoc_entry(key)
                 if lookup is not None:
                     lookup.set_attr("hit", cached)
-            mask = exclusion_mask(self.dataset.num_items, entry.exclude)
-            if state.ann_index is not None:
-                candidates = self._ann_candidates(
-                    state, self._members_query(state, key), mask, k
-                )
-            elif mask is not None:
-                candidates = np.nonzero(~mask)[0]
-            else:
-                candidates = np.arange(self.dataset.num_items, dtype=np.int64)
-            with span(
-                "forward",
-                member_count=len(key),
-                candidates=int(candidates.size),
-            ):
-                scores = state.model.score_group_items(entry.batch, candidates)
-            with span("topk"):
-                chosen = topk_indices(scores, k)
-            results[index] = (candidates[chosen], scores[chosen])
+            results[index] = self._rank_one_row(
+                state, entry.batch, key, entry.exclude, k
+            )
+
+    def _rank_one_row(
+        self,
+        state: _EngineState,
+        batch: GroupBatch,
+        members: Sequence[int],
+        exclude,
+        k: int,
+    ) -> TopK:
+        """Top-K of a one-row batch (dataset group or ad-hoc) against its
+        candidates: every unexcluded item, or the ANN index's."""
+        mask = exclusion_mask(self.dataset.num_items, exclude)
+        if state.ann_index is not None:
+            candidates = self._ann_candidates(
+                state, self._members_query(state, members), mask, k
+            )
+        elif mask is not None:
+            candidates = np.nonzero(~mask)[0]
+        else:
+            candidates = np.arange(self.dataset.num_items, dtype=np.int64)
+        with span(
+            "forward", member_count=len(members), candidates=int(candidates.size)
+        ):
+            scores = state.model.score_group_items(batch, candidates)
+        with span("topk"):
+            chosen = topk_indices(scores, k)
+        return candidates[chosen], scores[chosen]
 
     def _adhoc_entry(self, key: Tuple[int, ...]) -> Tuple[_AdhocEntry, bool]:
         """The cached entry for ``key`` plus whether it was a cache hit."""

@@ -23,7 +23,7 @@ from repro.evaluation.metrics_extra import (
     mrr,
     novelty,
 )
-from repro.evaluation.ranking import recommend_for_groups, top_k_items
+from repro.evaluation.ranking import recommend_for_groups, top_k_items, top_k_scored
 from repro.evaluation.significance import TTestResult, one_sample_ttest, paired_ttest
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "one_sample_ttest",
     "TTestResult",
     "top_k_items",
+    "top_k_scored",
     "recommend_for_groups",
     "evaluate_full_ranking",
     "mrr",

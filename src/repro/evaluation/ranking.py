@@ -6,13 +6,42 @@ recommend actual item lists; this module provides that surface.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Set
+from typing import Callable, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.engine.topk import exclusion_mask, topk_indices
 
 ScoreFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def top_k_scored(
+    score_fn: ScoreFn,
+    entity: int,
+    num_items: int,
+    k: int = 10,
+    exclude: Set[int] | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-K item ids for one entity, highest score first, and their scores.
+
+    ``exclude`` removes already-interacted items from the ranking, the
+    usual deployment behaviour.  Selection runs through the vectorized
+    :func:`repro.engine.topk.topk_indices` kernel (boolean exclusion
+    mask + ``argpartition``); ordering is identical to a stable
+    descending sort — ties break toward the smaller item id.  The
+    scores are the ranking pass's own: no second call of ``score_fn``.
+    """
+    mask = exclusion_mask(num_items, exclude)
+    candidates = (
+        np.nonzero(~mask)[0] if mask is not None else np.arange(num_items, dtype=np.int64)
+    )
+    if candidates.size == 0 or k <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    entities = np.full(candidates.size, entity, dtype=np.int64)
+    scores = score_fn(entities, candidates)
+    # Candidates are ascending, so positional ties equal item-id ties.
+    chosen = topk_indices(scores, k)
+    return candidates[chosen], scores[chosen]
 
 
 def top_k_items(
@@ -22,24 +51,8 @@ def top_k_items(
     k: int = 10,
     exclude: Set[int] | None = None,
 ) -> np.ndarray:
-    """Return the Top-K item ids for one entity, highest score first.
-
-    ``exclude`` removes already-interacted items from the ranking, the
-    usual deployment behaviour.  Selection runs through the vectorized
-    :func:`repro.engine.topk.topk_indices` kernel (boolean exclusion
-    mask + ``argpartition``); ordering is identical to a stable
-    descending sort — ties break toward the smaller item id.
-    """
-    mask = exclusion_mask(num_items, exclude)
-    candidates = (
-        np.nonzero(~mask)[0] if mask is not None else np.arange(num_items, dtype=np.int64)
-    )
-    if candidates.size == 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    entities = np.full(candidates.size, entity, dtype=np.int64)
-    scores = score_fn(entities, candidates)
-    # Candidates are ascending, so positional ties equal item-id ties.
-    return candidates[topk_indices(scores, k)]
+    """The item ids of :func:`top_k_scored`."""
+    return top_k_scored(score_fn, entity, num_items, k, exclude)[0]
 
 
 def recommend_for_groups(

@@ -35,7 +35,7 @@ from repro.data.dataset import GroupRecommendationDataset
 from repro.data.loaders import GroupBatcher
 from repro.engine.service import EngineConfig, InferenceEngine
 from repro.engine.telemetry import Telemetry
-from repro.evaluation.ranking import top_k_items
+from repro.evaluation.ranking import top_k_scored
 from repro.obs.spans import span
 from repro.persistence import load_model
 
@@ -235,15 +235,12 @@ class RecommendationService:
             else:
                 exclude = self.dataset.user_items()[user]
                 with span("direct.score"):
-                    items = top_k_items(
+                    items, scores = top_k_scored(
                         self.model.score_user_items,
                         user,
                         self.dataset.num_items,
                         k,
                         exclude,
-                    )
-                    scores = self.model.score_user_items(
-                        np.full(items.size, user, dtype=np.int64), items
                     )
             return Recommendation(
                 entity=f"user:{user}",
@@ -274,10 +271,9 @@ class RecommendationService:
                     return self.model.score_group_items(single, target_items)
 
                 with span("direct.score"):
-                    items = top_k_items(
+                    items, scores = top_k_scored(
                         scorer, group, self.dataset.num_items, k, exclude
                     )
-                    scores = scorer(group, items)
             weights = self._explain(group, int(items[0])) if items.size else None
             return Recommendation(
                 entity=f"group:{group}",
@@ -323,8 +319,9 @@ class RecommendationService:
                 )
             else:
                 with span("direct.score"):
-                    items = self._adhoc.recommend(members, k=k, batch=batch)
-                    scores = self.model.score_group_items(batch, items)
+                    items, scores = self._adhoc.recommend_scored(
+                        members, k=k, batch=batch
+                    )
             weights = None
             if items.size:
                 gamma = self.model.member_attention(batch, items[:1])[0]

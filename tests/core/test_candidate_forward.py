@@ -230,7 +230,7 @@ def test_gamma_gains_a_candidate_axis(tiny_split):
     assert gamma.shape == items.shape + (batch.members.shape[1],)
     for column in range(items.shape[1]):
         assert np.array_equal(
-            gamma.data[:, column], model.member_attention(batch, items[:, column])
+            gamma.data[:, column], model.group_forward(batch, items[:, column])[1].data
         )
 
 

@@ -113,11 +113,11 @@ class TestConcurrentExplanation:
 
         first_chunk_done = threading.Event()
         explained = threading.Event()
-        tower_forward = PredictionTower.forward
+        tower_score = PredictionTower.score_items
         result = {}
 
         def gated(self, left, right):
-            out = tower_forward(self, left, right)
+            out = tower_score(self, left, right)
             if threading.current_thread() is scorer and not first_chunk_done.is_set():
                 first_chunk_done.set()
                 result["waited"] = explained.wait(timeout=30)
@@ -126,7 +126,7 @@ class TestConcurrentExplanation:
         def score():
             result["scores"] = model.score_group_items(batch, items, chunk=8)
 
-        monkeypatch.setattr(PredictionTower, "forward", gated)
+        monkeypatch.setattr(PredictionTower, "score_items", gated)
         scorer = threading.Thread(target=score)
         scorer.start()
         assert first_chunk_done.wait(timeout=30)

@@ -89,6 +89,7 @@ class TestDerivedViews:
         dataset = make_dataset()
         assert dataset.user_items() is dataset.user_items()
         assert dataset.friends() is dataset.friends()
+        assert dataset.friend_set() is dataset.friend_set()
 
 
 class TestWithInteractions:
@@ -110,3 +111,16 @@ class TestWithInteractions:
         )
         assert len(derived.user_item) == 0
         assert derived.user_items()[0] == set()
+
+    def test_derived_views_are_not_carried_over(self):
+        dataset = make_dataset()
+        seen, friend_sets = dataset.user_items(), dataset.friend_set()
+        derived = dataset.with_interactions(
+            user_item=np.array([[2, 4]]), group_item=np.array([[1, 1]])
+        )
+        assert derived.user_items() is not seen
+        assert derived.user_items()[2] == {4} and derived.user_items()[0] == set()
+        # Same social network, but the clone builds (and caches) its own view.
+        assert derived.friend_set() is not friend_sets
+        assert derived.friend_set() == friend_sets
+        assert derived.friend_set() is derived.friend_set()
