@@ -37,9 +37,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Sequence, Union
 
 from repro.cluster.merge import merge_topk
 from repro.cluster.plan import ShardPlan
@@ -49,11 +47,15 @@ from repro.cluster.weights import (
     write_model_store,
 )
 from repro.cluster.worker import WorkerSpec, worker_main
+from repro.engine.scorer import (
+    TopK,
+    VersionedTopK,
+    check_model_size,
+    check_request,
+    check_retrieval,
+)
 from repro.obs.metrics_registry import MetricsRegistry
 from repro.obs.spans import adopt_remote_spans, span, trace_context
-
-TopK = Tuple[np.ndarray, np.ndarray]  # (global item ids, scores), best first
-VersionedTopK = Tuple[np.ndarray, np.ndarray, int]  # + min version served
 
 #: Environment knobs pinned in worker processes so N workers do not
 #: oversubscribe the machine with N full BLAS thread pools.
@@ -331,11 +333,7 @@ class ShardRouter:
         from repro.data.io import save_dataset
 
         config = config or ClusterConfig()
-        if config.retrieval not in ("exhaustive", "ann"):
-            raise ValueError(
-                f"unknown retrieval mode '{config.retrieval}' "
-                "(choose 'exhaustive' or 'ann')"
-            )
+        check_retrieval(config.retrieval)
         num_shards = config.resolved_shards()
         plan = ShardPlan(dataset.num_items, num_shards, config.strategy)
         tmpdir = None
@@ -431,54 +429,35 @@ class ShardRouter:
 
     # -- request surface -------------------------------------------------
 
-    def topk_user(self, user: int, k: int = 10) -> TopK:
-        return self.topk_user_versioned(user, k)[:2]
-
-    def topk_group(self, group: int, k: int = 10) -> TopK:
-        return self.topk_group_versioned(group, k)[:2]
-
-    def topk_members(self, members: Sequence[int], k: int = 10) -> TopK:
-        return self.topk_members_versioned(members, k)[:2]
-
-    # Versioned variants: the third element is the *minimum* model
-    # version any contributing worker served — during a rolling swap the
-    # fleet is briefly mixed, and the oldest contributor bounds how
-    # stale the merged list can be.
+    def topk(self, kind: str, arg, k: int = 10) -> VersionedTopK:
+        """Validate, scatter and merge one ``user`` / ``group`` / ``adhoc``
+        request.  The third element is the *minimum* model version any
+        contributing worker served — during a rolling swap the fleet is
+        briefly mixed, and the oldest contributor bounds how stale the
+        merged list can be.
+        """
+        payload = check_request(kind, arg, k, self.num_users, self.num_groups)
+        return self._scatter(kind, payload, k)
 
     def topk_user_versioned(self, user: int, k: int = 10) -> VersionedTopK:
-        user = int(user)
-        if not 0 <= user < self.num_users:
-            raise IndexError(f"user {user} out of range [0, {self.num_users})")
-        self._check_k(k)
-        return self._scatter("user", user, k)
+        return self.topk("user", user, k)
 
     def topk_group_versioned(self, group: int, k: int = 10) -> VersionedTopK:
-        group = int(group)
-        if not 0 <= group < self.num_groups:
-            raise IndexError(f"group {group} out of range [0, {self.num_groups})")
-        self._check_k(k)
-        return self._scatter("group", group, k)
+        return self.topk("group", group, k)
 
     def topk_members_versioned(
         self, members: Sequence[int], k: int = 10
     ) -> VersionedTopK:
-        if len(members) == 0:
-            raise ValueError("members must be a non-empty sequence of user ids")
-        for member in members:
-            if not 0 <= int(member) < self.num_users:
-                raise IndexError(
-                    f"member {int(member)} out of range [0, {self.num_users})"
-                )
-        self._check_k(k)
-        canonical = tuple(
-            int(m) for m in np.unique(np.asarray(members, dtype=np.int64))
-        )
-        return self._scatter("adhoc", canonical, k)
+        return self.topk("adhoc", members, k)
 
-    @staticmethod
-    def _check_k(k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def topk_user(self, user: int, k: int = 10) -> TopK:
+        return self.topk("user", user, k)[:2]
+
+    def topk_group(self, group: int, k: int = 10) -> TopK:
+        return self.topk("group", group, k)[:2]
+
+    def topk_members(self, members: Sequence[int], k: int = 10) -> TopK:
+        return self.topk("adhoc", members, k)[:2]
 
     # -- hot-swap ----------------------------------------------------------
 
@@ -492,6 +471,10 @@ class ShardRouter:
         directories are garbage-collected once outside the
         ``keep_last_stores`` window *and* no worker is attached.
 
+        A model whose table sizes are not the fleet's is a ``ValueError``
+        before anything is written: no worker could attach it, and the
+        restart fallback would strand the fleet on it.
+
         Returns the new version; versions must be strictly increasing.
         """
         if self._closed:
@@ -500,6 +483,7 @@ class ShardRouter:
             raise ClusterError(
                 "router has no workdir to publish versioned stores into"
             )
+        check_model_size(model, self.num_users, self.plan.num_items)
         with self._swap_lock:
             version = self._version + 1 if version is None else int(version)
             if version <= self._version:

@@ -12,6 +12,8 @@ Layered between a trained :class:`~repro.core.groupsa.GroupSA` and the
 - :mod:`repro.engine.telemetry` — latency/counter/occupancy metrics
   backed by :mod:`repro.obs.metrics_registry` (exact histograms,
   Prometheus exposition); request tracing via :mod:`repro.obs.spans`;
+- :mod:`repro.engine.scorer` — the scoring core (candidates, model
+  scores, Top-K over an item slice) every serving mode ranks through;
 - :mod:`repro.engine.service` — the engine tying the stages together;
 - :mod:`repro.engine.bench` — direct-vs-engine benchmark harness.
 """

@@ -23,6 +23,9 @@ Failure modes handled:
 - **Torn pointer**: ``LATEST.json`` is replaced atomically, so a read
   sees the old or the new pointer, never a mix.
 - **Load failure**: logged as a metric, old version keeps serving.
+- **Apply failure** (e.g. a model whose table sizes do not match the
+  dataset): the service validates before it swaps anything, so the old
+  version keeps serving; counted in ``swap.apply_failures``.
 
 Metrics (ISSUE 8 instrumentation): ``swap.apply`` latency histogram,
 ``swap.model_version`` gauge, ``swap.staleness_seconds`` gauge (age of
@@ -109,8 +112,14 @@ class ModelSwapper:
             except BaseException:
                 self.registry.counter("swap.load_failures").inc()
                 raise
-            with span("swap.apply", version=info.version):
-                self.service.apply_model(model, info.version)
+            try:
+                with span("swap.apply", version=info.version):
+                    self.service.apply_model(model, info.version)
+            except BaseException:
+                # e.g. a snapshot of the wrong size: rejected before
+                # anything swapped, the old version keeps serving.
+                self.registry.counter("swap.apply_failures").inc()
+                raise
         self.current = info
         self._swap_latency.observe(time.perf_counter() - started)
         self.registry.counter("swap.applied").inc()
@@ -157,7 +166,7 @@ class ModelSwapper:
                 self.check_once()
             except BaseException:
                 # Serving must outlive a bad snapshot; the failure is
-                # already counted in swap.load_failures.
+                # already counted in swap.load_failures / apply_failures.
                 pass
             self._stop.wait(self.poll_interval)
 

@@ -5,9 +5,11 @@ Top-K for users, dataset groups and ad-hoc member lists, with
 explanation payloads (voting weights) and basic input validation —
 the surface an application would actually integrate against.
 
-Three execution modes share this surface:
+Three execution modes share this surface, and one scoring core
+(:class:`~repro.engine.scorer.Scorer`) ranks in all of them:
 
-- **direct** (the default): every request runs its own forward pass;
+- **direct** (the default): a scorer over the whole catalog; every
+  request runs its own forward pass;
 - **engine-backed**: requests route through an
   :class:`~repro.engine.service.InferenceEngine` — precomputed score
   caches, micro-batched forward passes and serving telemetry — and
@@ -29,13 +31,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.adhoc import AdhocGroupRecommender
 from repro.core.groupsa import GroupSA
 from repro.data.dataset import GroupRecommendationDataset
-from repro.data.loaders import GroupBatcher
+from repro.engine.scorer import RequestViews, Scorer, VersionedTopK
 from repro.engine.service import EngineConfig, InferenceEngine
 from repro.engine.telemetry import Telemetry
-from repro.evaluation.ranking import top_k_scored
 from repro.obs.spans import span
 from repro.persistence import load_model
 
@@ -86,12 +86,14 @@ class RecommendationService:
     engine: Optional[InferenceEngine] = None
     router: Optional["ShardRouter"] = None
     model_version: Optional[int] = None
-    _batcher: GroupBatcher = field(init=False, repr=False)
-    _adhoc: AdhocGroupRecommender = field(init=False, repr=False)
+    _views: RequestViews = field(init=False, repr=False)
+    _scorer: Scorer = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._batcher = GroupBatcher(self.dataset)
-        self._adhoc = AdhocGroupRecommender(self.model, self.dataset)
+        self._views = RequestViews(self.dataset)
+        # Direct mode: the core over the whole catalog.  Its constructor
+        # rejects a model whose table sizes are not the dataset's.
+        self._scorer = Scorer(self.model, self._views, self.model_version)
 
     @classmethod
     def from_checkpoint(
@@ -101,14 +103,7 @@ class RecommendationService:
         engine_config: Optional[EngineConfig] = None,
         use_engine: bool = False,
     ) -> "RecommendationService":
-        model = load_model(path)
-        if model.num_users != dataset.num_users or model.num_items != dataset.num_items:
-            raise ValueError(
-                "checkpoint entity counts do not match the dataset: "
-                f"model ({model.num_users} users, {model.num_items} items) vs "
-                f"dataset ({dataset.num_users} users, {dataset.num_items} items)"
-            )
-        service = cls(model=model, dataset=dataset)
+        service = cls(model=load_model(path), dataset=dataset)
         if use_engine or engine_config is not None:
             service.enable_engine(engine_config)
         return service
@@ -126,7 +121,7 @@ class RecommendationService:
         if self.engine is None:
             self.engine = InferenceEngine(
                 self.model,
-                self.dataset,
+                self._views,
                 config=config,
                 telemetry=telemetry,
                 model_version=self.model_version or 0,
@@ -172,18 +167,25 @@ class RecommendationService:
         the engine gets :meth:`InferenceEngine.swap_model` (atomic
         bundle swap, in-flight batches unaffected), the cluster router
         gets :meth:`ShardRouter.swap_model` (rolling per-worker store
-        re-attach), and direct mode simply rebinds ``self.model`` and
-        the ad-hoc recommender.  Explanations always follow the new
-        model.  Returns ``version``.
+        re-attach), and direct mode rebinds its scorer.  Explanations
+        always follow the new model.  Returns ``version``.
+
+        Validate, then swap: the new direct scorer is built first and
+        rejects a model of the wrong size with ``ValueError``; the
+        router, the one step that does I/O, swaps next; the engine and
+        the rebinds, in process and already validated, come last.  A
+        rejected model therefore leaves the old version serving in
+        every mode.
         """
         version = int(version)
         with span("service.apply_model", mode=self._mode(), version=version):
-            if self.engine is not None:
-                self.engine.swap_model(model, version=version, ann_index=ann_index)
+            scorer = Scorer(model, self._views, version)
             if self.router is not None:
                 self.router.swap_model(model, version=version)
+            if self.engine is not None:
+                self.engine.swap_model(model, version=version, ann_index=ann_index)
             self.model = model
-            self._adhoc = AdhocGroupRecommender(model, self.dataset)
+            self._scorer = scorer
             self.model_version = version
         return version
 
@@ -222,67 +224,22 @@ class RecommendationService:
 
     def recommend_for_user(self, user: int, k: int = 10) -> Recommendation:
         """Top-K items for an individual user (seen items excluded)."""
-        self._check_user(user)
-        self._check_k(k)
+        self._views.check("user", user, k)
         with span(
             "service.recommend_for_user", mode=self._mode(), user=int(user), k=k
         ) as root:
-            version = self.model_version
-            if self.router is not None:
-                items, scores, version = self.router.topk_user_versioned(user, k=k)
-            elif self.engine is not None:
-                items, scores, version = self.engine.topk_user_versioned(user, k)
-            else:
-                exclude = self.dataset.user_items()[user]
-                with span("direct.score"):
-                    items, scores = top_k_scored(
-                        self.model.score_user_items,
-                        user,
-                        self.dataset.num_items,
-                        k,
-                        exclude,
-                    )
-            return Recommendation(
-                entity=f"user:{user}",
-                items=items.tolist(),
-                scores=scores.tolist(),
-                trace_id=root.trace_id if root is not None else None,
-                model_version=version,
-            )
+            topk = self._topk("user", user, k)
+            return self._recommendation(f"user:{user}", topk, None, root)
 
     def recommend_for_group(self, group: int, k: int = 10) -> Recommendation:
         """Top-K items for a dataset group, with voting explanation."""
-        if not 0 <= group < self.dataset.num_groups:
-            raise IndexError(f"group {group} out of range [0, {self.dataset.num_groups})")
-        self._check_k(k)
+        self._views.check("group", group, k)
         with span(
             "service.recommend_for_group", mode=self._mode(), group=int(group), k=k
         ) as root:
-            version = self.model_version
-            if self.router is not None:
-                items, scores, version = self.router.topk_group_versioned(group, k=k)
-            elif self.engine is not None:
-                items, scores, version = self.engine.topk_group_versioned(group, k)
-            else:
-                exclude = self.dataset.group_items()[group]
-                single = self._batcher.batch([group])
-
-                def scorer(__, target_items):
-                    return self.model.score_group_items(single, target_items)
-
-                with span("direct.score"):
-                    items, scores = top_k_scored(
-                        scorer, group, self.dataset.num_items, k, exclude
-                    )
-            weights = self._explain(group, int(items[0])) if items.size else None
-            return Recommendation(
-                entity=f"group:{group}",
-                items=items.tolist(),
-                scores=scores.tolist(),
-                voting_weights=weights,
-                trace_id=root.trace_id if root is not None else None,
-                model_version=version,
-            )
+            topk = self._topk("group", group, k)
+            weights = self._explain(group, int(topk[0][0])) if topk[0].size else None
+            return self._recommendation(f"group:{group}", topk, weights, root)
 
     def recommend_for_members(
         self, members: Sequence[int], k: int = 10
@@ -294,12 +251,7 @@ class RecommendationService:
         canonical member order (ascending unique ids — the order the
         ad-hoc batch feeds the voting network).
         """
-        if len(members) == 0:
-            raise ValueError("members must be a non-empty sequence of user ids")
-        for member in members:
-            self._check_user(int(member))
-        self._check_k(k)
-        canonical = self._adhoc.canonical_members(members)
+        canonical = self._views.check("adhoc", members, k)
         with span(
             "service.recommend_for_members",
             mode=self._mode(),
@@ -307,35 +259,16 @@ class RecommendationService:
             k=k,
         ) as root:
             # One batch serves ranking, scores and the explanation.
-            batch = self._adhoc.batch(members)
-            version = self.model_version
-            if self.router is not None:
-                items, scores, version = self.router.topk_members_versioned(
-                    members, k=k
-                )
-            elif self.engine is not None:
-                items, scores, version = self.engine.topk_members_versioned(
-                    members, k
-                )
-            else:
-                with span("direct.score"):
-                    items, scores = self._adhoc.recommend_scored(
-                        members, k=k, batch=batch
-                    )
+            adhoc = self._views.adhoc(canonical)
+            topk = self._topk("adhoc", canonical, k, adhoc)
             weights = None
-            if items.size:
-                gamma = self.model.member_attention(batch, items[:1])[0]
+            if topk[0].size:
+                gamma = self.model.member_attention(adhoc[0], topk[0][:1])[0]
                 # gamma follows the ad-hoc batch's member axis, which is
                 # exactly `canonical`; zip them explicitly.
                 weights = {int(m): float(w) for m, w in zip(canonical, gamma)}
-            return Recommendation(
-                entity=f"adhoc:{','.join(str(m) for m in members)}",
-                items=items.tolist(),
-                scores=scores.tolist(),
-                voting_weights=weights,
-                trace_id=root.trace_id if root is not None else None,
-                model_version=version,
-            )
+            entity = f"adhoc:{','.join(str(m) for m in members)}"
+            return self._recommendation(entity, topk, weights, root)
 
     # ------------------------------------------------------------------
 
@@ -347,15 +280,30 @@ class RecommendationService:
     def _explain(self, group: int, item: int) -> Dict[int, float]:
         members = self.dataset.group_members[group]
         gamma = self.model.member_attention(
-            self._batcher.batch([group]), np.array([item])
+            self._views.batcher.batch([group]), np.array([item])
         )[0]
         return {int(m): float(w) for m, w in zip(members, gamma[: members.size])}
 
-    def _check_user(self, user: int) -> None:
-        if not 0 <= user < self.dataset.num_users:
-            raise IndexError(f"user {user} out of range [0, {self.dataset.num_users})")
+    def _topk(self, kind: str, arg, k: int, adhoc=None) -> VersionedTopK:
+        """The one dispatch: router, else engine, else the direct scorer."""
+        if self.router is not None:
+            return self.router.topk(kind, arg, k)
+        if self.engine is not None:
+            return self.engine.topk(kind, arg, k, versioned=True)
+        scorer = self._scorer  # one read: list and version from one model
+        with span("direct.score"):
+            return scorer.rank(kind, arg, k, adhoc=adhoc) + (scorer.version,)
 
     @staticmethod
-    def _check_k(k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def _recommendation(
+        entity: str, topk: VersionedTopK, weights: Optional[Dict[int, float]], root
+    ) -> Recommendation:
+        items, scores, version = topk
+        return Recommendation(
+            entity=entity,
+            items=items.tolist(),
+            scores=scores.tolist(),
+            voting_weights=weights,
+            trace_id=root.trace_id if root is not None else None,
+            model_version=version,
+        )

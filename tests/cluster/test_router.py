@@ -1,33 +1,21 @@
-"""ShardRouter end to end: real worker processes, parity, recovery.
+"""ShardRouter end to end: real worker processes, validation, recovery.
 
-The acceptance contract: router-merged recommendation lists are
-bit-identical to single-process engine mode for user, group and
-ad-hoc requests (duplicate members, ties and exclusions included).
-Scores travel with them and agree to float tolerance — item-subset
-scoring changes BLAS batch shapes, which legally perturbs the last
-ulp, exactly as the existing direct-vs-engine parity tests allow.
+That router-merged lists are the single-process lists (duplicate
+members, ties, exclusions, both partition strategies, k beyond the
+catalog) is the differential test's
+(``tests/integration/test_scoring_modes.py``).
 
 One module-scoped 2-worker/3-shard cluster serves most tests (spawn
 costs a couple of seconds); failure-path tests that kill workers
 launch their own throwaway clusters.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterError, ShardRouter
-from repro.engine import InferenceEngine
 from repro.serving import RecommendationService
 
 ADHOC_CASES = ([0, 1, 2], [9, 3, 3, 1], [17], [5, 12, 8, 5, 12])
-
-
-@pytest.fixture(scope="module")
-def engine(trained_tiny_model, tiny_split):
-    model, __, __h = trained_tiny_model
-    engine = InferenceEngine(model, tiny_split.train)
-    yield engine
-    engine.close()
 
 
 @pytest.fixture(scope="module")
@@ -40,41 +28,6 @@ def router(trained_tiny_model, tiny_split):
     )
     yield router
     router.close()
-
-
-class TestParity:
-    def test_user_lists_bit_identical(self, router, engine, tiny_split):
-        for user in range(tiny_split.train.num_users):
-            items, scores = router.topk_user(user, k=7)
-            expected_items, expected_scores = engine.topk_user(user, 7)
-            assert items.tolist() == expected_items.tolist(), user
-            assert np.allclose(scores, expected_scores, rtol=1e-9)
-
-    def test_group_lists_bit_identical(self, router, engine):
-        for group in range(15):
-            items, scores = router.topk_group(group, k=5)
-            expected_items, expected_scores = engine.topk_group(group, 5)
-            assert items.tolist() == expected_items.tolist(), group
-            assert np.allclose(scores, expected_scores, rtol=1e-9)
-
-    def test_adhoc_lists_bit_identical(self, router, engine):
-        for members in ADHOC_CASES:
-            items, scores = router.topk_members(members, k=5)
-            expected_items, __ = engine.topk_members(members, 5)
-            assert items.tolist() == expected_items.tolist(), members
-
-    def test_modulo_strategy_same_lists(self, trained_tiny_model, tiny_split, engine):
-        model, __, __h = trained_tiny_model
-        config = ClusterConfig(num_workers=2, num_shards=4, strategy="modulo")
-        with ShardRouter.launch(model, tiny_split.train, config=config) as router:
-            for user in range(8):
-                items, __s = router.topk_user(user, k=7)
-                assert items.tolist() == engine.topk_user(user, 7)[0].tolist()
-
-    def test_k_exceeding_catalog(self, router, engine):
-        items, __ = router.topk_user(0, k=500)
-        expected, __e = engine.topk_user(0, 500)
-        assert items.tolist() == expected.tolist()
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""The inference item half: numpy twins, lazy rows, and the three serving modes.
+"""The inference item half: numpy twins and lazy rows.
 
 ``PredictionTower.score_items`` and ``GroupAggregation.aggregate_items``
 are plain-numpy twins of their modules' ``forward`` with the first layer
@@ -6,22 +6,21 @@ split at the concatenation (``W [a ⊕ b] = W_a a + W_b b``), which moves
 the summation order: each twin equals its ``forward`` to a tolerance
 fixed by the dtype, not bit for bit.  ``tests/core/test_entity_hoist.py``
 holds ``score_*_items`` built on them against the differentiable
-forwards; here are the twins alone, the lazy optimizers' catch-up hook,
-and one request stream through direct, engine and cluster serving.
+forwards; here are the twins alone and the lazy optimizers' catch-up
+hook.  One request stream through every serving mode is
+``tests/integration/test_scoring_modes.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, dtype_policy, inference_mode, no_grad, sparse_grads
-from repro.cluster import ClusterConfig
 from repro.core import GroupSA, GroupSAConfig
 from repro.core.prediction import PredictionTower
 from repro.core.voting import GroupAggregation
 from repro.data import GroupBatcher
 from repro.graphs import tfidf_top_neighbours
 from repro.optim import Adam
-from repro.serving import RecommendationService
 from repro.training.bpr import bpr_loss
 from tests.conftest import TINY_MODEL_CONFIG
 from tests.core.test_entity_hoist import TOLERANCE
@@ -187,58 +186,3 @@ def test_kernel_reads_item_rows_through_the_gather_hook(tiny_split, scorer):
     assert np.array_equal(
         SCORERS[scorer](lazy, single, items), SCORERS[scorer](dense, single, items)
     )
-
-
-# ----------------------------------------------------------------------
-# (e) one seeded stream through direct, engine and a 2 x 2 cluster
-# ----------------------------------------------------------------------
-
-
-def request_stream(dataset, count=200, seed=17):
-    """``count`` requests, 60/25/15 user/group/ad-hoc, in seeded order."""
-    rng = np.random.default_rng(seed)
-    kinds = rng.permutation(
-        np.repeat(["user", "group", "adhoc"], [count * 60 // 100, count * 25 // 100, count * 15 // 100])
-    )
-    for kind in kinds:
-        if kind == "user":
-            yield kind, int(rng.integers(0, dataset.num_users))
-        elif kind == "group":
-            yield kind, int(rng.integers(0, dataset.num_groups))
-        else:
-            size = int(rng.integers(1, 6))
-            yield kind, rng.choice(dataset.num_users, size, replace=False).tolist()
-
-
-def send(service, kind, arg):
-    if kind == "user":
-        return service.recommend_for_user(arg, k=10)
-    if kind == "group":
-        return service.recommend_for_group(arg, k=10)
-    return service.recommend_for_members(arg, k=10)
-
-
-def test_differential_stream_direct_engine_cluster(trained_tiny_model, tiny_split):
-    model, __, __h = trained_tiny_model
-    dataset = tiny_split.train
-    direct = RecommendationService(model=model, dataset=dataset)
-    engine = RecommendationService(model=model, dataset=dataset)
-    cluster = RecommendationService(model=model, dataset=dataset)
-    try:
-        engine.enable_engine()
-        cluster.enable_cluster(ClusterConfig(num_workers=2, num_shards=2))
-        requests = list(request_stream(dataset))
-        assert len(requests) == 200
-        for kind, arg in requests:
-            want = send(direct, kind, arg)
-            assert len(want.items) == len(set(want.items)) == 10
-            for other in (engine, cluster):
-                got = send(other, kind, arg)
-                assert got.items == want.items, (kind, arg)
-                np.testing.assert_allclose(
-                    got.scores, want.scores, rtol=1e-9, atol=0.0, err_msg=f"{kind} {arg}"
-                )
-                assert got.voting_weights == want.voting_weights
-    finally:
-        engine.close()
-        cluster.close()

@@ -2,9 +2,9 @@
 
 The load-bearing contracts: the inverted lists exactly partition the
 catalog, probing every list reproduces the exhaustive inner-product
-Top-K, exclusions never leak into candidates, and the engine's ANN
-mode degrades to bit-exact exhaustive results when the probe budget
-covers the whole index.
+Top-K, and exclusions never leak into candidates.  That ANN mode at
+full probe returns the exhaustive lists is the differential test's
+(``tests/integration/test_scoring_modes.py``).
 """
 
 import numpy as np
@@ -150,28 +150,6 @@ class TestRecallHelper:
         assert recall_at_k(np.array([]), np.array([])) == 1.0
 
 
-@pytest.fixture(scope="module")
-def engines(trained_tiny_model, tiny_split):
-    """The same checkpoint behind exhaustive and full-probe ANN engines."""
-    model, __, __h = trained_tiny_model
-    train = tiny_split.train
-    exhaustive = InferenceEngine(model, train)
-    # Probe budget covers every list and the candidate pool covers the
-    # catalog, so ANN mode must reproduce exhaustive results exactly.
-    ann = InferenceEngine(
-        model,
-        train,
-        config=EngineConfig(
-            retrieval="ann",
-            ann_nprobe=10_000,
-            ann_candidates=train.num_items,
-        ),
-    )
-    yield exhaustive, ann
-    ann.close()
-    exhaustive.close()
-
-
 class TestEngineAnnMode:
     def test_invalid_retrieval_mode_rejected(self, trained_tiny_model, tiny_split):
         model, __, __h = trained_tiny_model
@@ -179,28 +157,6 @@ class TestEngineAnnMode:
             InferenceEngine(
                 model, tiny_split.train, config=EngineConfig(retrieval="faiss")
             )
-
-    def test_user_parity_at_full_probe(self, engines):
-        exhaustive, ann = engines
-        for user in range(25):
-            expected_items, expected_scores = exhaustive.topk_user(user, k=7)
-            items, scores = ann.topk_user(user, k=7)
-            assert np.array_equal(items, expected_items)
-            assert np.allclose(scores, expected_scores, rtol=1e-12)
-
-    def test_group_parity_at_full_probe(self, engines):
-        exhaustive, ann = engines
-        for group in range(15):
-            expected_items, __ = exhaustive.topk_group(group, k=5)
-            items, __s = ann.topk_group(group, k=5)
-            assert np.array_equal(items, expected_items)
-
-    def test_adhoc_parity_at_full_probe(self, engines):
-        exhaustive, ann = engines
-        for members in ([0, 1, 2], [9, 3, 1], [17], [5, 12, 8]):
-            expected_items, __ = exhaustive.topk_members(members, k=5)
-            items, __s = ann.topk_members(members, k=5)
-            assert np.array_equal(items, expected_items)
 
     def test_ann_mode_excludes_user_history(self, trained_tiny_model, tiny_split):
         model, __, __h = trained_tiny_model
@@ -212,8 +168,12 @@ class TestEngineAnnMode:
                 items, __s = engine.topk_user(user, k=5)
                 assert not histories[user] & set(items.tolist())
 
-    def test_ann_telemetry_recorded(self, engines):
-        __, ann = engines
-        snapshot = ann.telemetry_snapshot()
-        assert snapshot["counters"]["ann.queries"] > 0
-        assert snapshot["counters"]["ann.candidates"] > 0
+    def test_ann_telemetry_recorded(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        config = EngineConfig(retrieval="ann", ann_nprobe=2, ann_candidates=16)
+        with InferenceEngine(model, tiny_split.train, config=config) as engine:
+            engine.topk_user(0, k=5)
+            engine.topk_group(0, k=5)
+            snapshot = engine.telemetry_snapshot()
+        assert snapshot["counters"]["ann.queries"] == 2
+        assert 10 <= snapshot["counters"]["ann.candidates"] <= 32

@@ -1,13 +1,13 @@
-"""Inference engine vs direct serving: identical results, telemetry.
+"""The inference engine's request surface and telemetry.
 
-The acceptance contract: engine-backed serving returns the same
-recommendation lists as the direct path, from the same checkpoint.
+That engine-backed serving returns the direct path's lists is the
+differential test's (``tests/integration/test_scoring_modes.py``); here
+are staged futures, validation and the telemetry snapshot.
 """
 
-import numpy as np
 import pytest
 
-from repro.engine import EngineConfig, InferenceEngine
+from repro.engine import InferenceEngine
 from repro.persistence import save_model
 from repro.serving import RecommendationService
 
@@ -32,40 +32,6 @@ def engine_service(checkpoint, tiny_split):
     )
     yield service
     service.close()
-
-
-class TestDirectEngineParity:
-    def test_user_lists_identical(self, direct_service, engine_service):
-        for user in range(20):
-            direct = direct_service.recommend_for_user(user, k=7)
-            backed = engine_service.recommend_for_user(user, k=7)
-            assert direct.items == backed.items
-            assert np.allclose(direct.scores, backed.scores, rtol=1e-9)
-
-    def test_group_lists_identical(self, direct_service, engine_service):
-        for group in range(15):
-            direct = direct_service.recommend_for_group(group, k=5)
-            backed = engine_service.recommend_for_group(group, k=5)
-            assert direct.items == backed.items
-            assert direct.voting_weights == backed.voting_weights
-            assert np.allclose(direct.scores, backed.scores, rtol=1e-9)
-
-    def test_adhoc_lists_identical(self, direct_service, engine_service):
-        for members in ([0, 1, 2], [9, 3, 3, 1], [17], [5, 12, 8, 5, 12]):
-            direct = direct_service.recommend_for_members(members, k=5)
-            backed = engine_service.recommend_for_members(members, k=5)
-            assert direct.items == backed.items
-            assert direct.voting_weights == backed.voting_weights
-
-    def test_parity_under_tight_cache_budget(self, trained_tiny_model, tiny_split):
-        model, __, __h = trained_tiny_model
-        config = EngineConfig(score_block_rows=8, score_cache_budget_mb=8 * 50 * 8 / 2**20)
-        with InferenceEngine(model, tiny_split.train, config=config) as engine:
-            direct = RecommendationService(model=model, dataset=tiny_split.train)
-            for user in (0, 30, 59, 1, 31):  # hop across blocks to force evictions
-                items, __scores = engine.topk_user(user, k=6)
-                assert items.tolist() == direct.recommend_for_user(user, k=6).items
-            assert engine.telemetry.counter("score_cache.evict") > 0
 
 
 class TestEngineRequests:

@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig
+from repro.core import GroupSA
 from repro.obs.metrics_registry import MetricsRegistry
 from repro.online import (
     LATEST_NAME,
@@ -193,3 +195,77 @@ class TestSwapAtomicity:
         assert all(count == 5 for __v, count in responses)
         # ... and the swaps really happened under the traffic.
         assert service.model_version == max(published)
+
+
+class TestWrongSizeSwap:
+    """A model whose tables are not the dataset's size is a typed error
+    in every mode, and the version that was serving keeps serving."""
+
+    MODES = ("direct", "engine", "cluster")
+
+    @staticmethod
+    def _wrong(dataset, delta):
+        return GroupSA(dataset.num_users, dataset.num_items + delta, TINY_MODEL_CONFIG)
+
+    @pytest.fixture(scope="class", params=MODES)
+    def service(self, request, trained_tiny_model, dataset):
+        model, __, __h = trained_tiny_model
+        service = RecommendationService(model=model, dataset=dataset, model_version=0)
+        if request.param == "engine":
+            service.enable_engine()
+        elif request.param == "cluster":
+            service.enable_cluster(ClusterConfig(num_workers=2, num_shards=2))
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize("delta", [-5, 5], ids=["smaller", "larger"])
+    def test_rejected_and_the_old_version_keeps_serving(self, service, dataset, delta):
+        requests = (
+            (service.recommend_for_user, 3),
+            (service.recommend_for_group, 2),
+            (service.recommend_for_members, [1, 4, 7]),
+        )
+        before = [send(arg, k=5) for send, arg in requests]
+        assert {response.model_version for response in before} == {0}
+        wrong = self._wrong(dataset, delta)
+        with pytest.raises(ValueError, match="entity counts"):
+            service.apply_model(wrong, 1)
+        # The shells' own entries refuse it too, before touching anything.
+        if service.engine is not None:
+            with pytest.raises(ValueError, match="entity counts"):
+                service.engine.swap_model(wrong, version=1)
+            assert service.engine.model_version == 0
+        if service.router is not None:
+            with pytest.raises(ValueError, match="entity counts"):
+                service.router.swap_model(wrong, version=1)
+            assert service.router.model_version == 0
+            assert service.router.worker_restarts == 0
+        assert service.model_version == 0
+        after = [send(arg, k=5) for send, arg in requests]
+        assert [r.items for r in after] == [r.items for r in before]
+        assert [r.scores for r in after] == [r.scores for r in before]
+        assert {response.model_version for response in after} == {0}
+
+    def test_plain_constructor_rejects_it_too(self, dataset):
+        with pytest.raises(ValueError, match="entity counts"):
+            RecommendationService(model=self._wrong(dataset, -5), dataset=dataset)
+
+    def test_model_swapper_counts_the_rejection(self, tiny_split, dataset, tmp_path):
+        trainer = _trainer(tiny_split, dataset, tmp_path / "snap")
+        trainer.publish()
+        service, initial = _service_at(tmp_path / "snap", dataset)
+        try:
+            before = service.recommend_for_user(3, k=5)
+            SnapshotPublisher(tmp_path / "snap").publish(self._wrong(dataset, -5))
+            registry = MetricsRegistry()
+            swapper = ModelSwapper(service, tmp_path / "snap", registry=registry)
+            with pytest.raises(ValueError, match="entity counts"):
+                swapper.check_once()
+            assert registry.counter("swap.apply_failures").value == 1
+            assert registry.counter("swap.applied").value == 0
+            assert service.model_version == initial.version
+            after = service.recommend_for_user(3, k=5)
+            assert after.items == before.items
+            assert after.model_version == initial.version
+        finally:
+            service.close()
