@@ -14,7 +14,9 @@ batch 256):
 - sparse per-step cost grows ≤ 5× across a 16× table growth (dense
   grows ~linearly).
 
-The full measurement grid lands in a JSON report (CI uploads it).
+The one speed test outside ``benchmarks/perf``: no harness workload
+reaches 160k-row tables.  The measurement grid is written to the
+git-ignored ``.bench_work/train_throughput.json`` at the repo root.
 
 Run with::
 
@@ -22,46 +24,26 @@ Run with::
 """
 
 import json
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.autograd import fused_ops, sparse_grads
-from repro.core.config import GroupSAConfig
-from repro.core.groupsa import GroupSA
-from repro.data.loaders import GroupBatch
+from repro.autograd import sparse_grads
 from repro.nn.embedding import Embedding
 from repro.optim import Adam
 from repro.training.bpr import bpr_loss
 
-REPORT_PATH = os.environ.get(
-    "BENCH_TRAIN_THROUGHPUT_JSON", "results/BENCH_train_throughput.json"
+REPORT_PATH = (
+    Path(__file__).resolve().parents[1] / ".bench_work" / "train_throughput.json"
 )
-MEASURE_STEPS = int(os.environ.get("BENCH_TRAIN_STEPS", "30"))
+MEASURE_STEPS = 30
 WARMUP_STEPS = 3
 BATCH_SIZE = 256
 EMBEDDING_DIM = 16
 #: Users == items per scale; the largest must satisfy the ISSUE floor
 #: of at least 100k-row tables.
 SCALES = (10_000, 40_000, 160_000)
-
-
-def _merge_report(updates):
-    """Read-merge-write the shared report so both benches contribute.
-
-    The sparse-vs-dense test and the fused-attention test write to the
-    same JSON; a plain ``json.dump`` from either would clobber the
-    other's section.
-    """
-    report = {}
-    if os.path.exists(REPORT_PATH):
-        with open(REPORT_PATH, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    report.update(updates)
-    os.makedirs(os.path.dirname(REPORT_PATH) or ".", exist_ok=True)
-    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
 
 
 def _run_training(num_rows, sparse, steps, seed=0):
@@ -130,18 +112,18 @@ def test_bench_train_throughput():
         largest["dense"]["median_step_s"] / smallest["dense"]["median_step_s"]
     )
     table_growth = SCALES[-1] / SCALES[0]
-    _merge_report(
-        {
-            "batch_size": BATCH_SIZE,
-            "embedding_dim": EMBEDDING_DIM,
-            "measure_steps": MEASURE_STEPS,
-            "scales": results,
-            "table_growth": table_growth,
-            "sparse_step_growth": sparse_growth,
-            "dense_step_growth": dense_growth,
-            "speedup_at_largest": largest["speedup"],
-        }
-    )
+    report = {
+        "batch_size": BATCH_SIZE,
+        "embedding_dim": EMBEDDING_DIM,
+        "measure_steps": MEASURE_STEPS,
+        "scales": results,
+        "table_growth": table_growth,
+        "sparse_step_growth": sparse_growth,
+        "dense_step_growth": dense_growth,
+        "speedup_at_largest": largest["speedup"],
+    }
+    REPORT_PATH.parent.mkdir(exist_ok=True)
+    REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(
         f"\n{table_growth:.0f}x tables -> sparse step x{sparse_growth:.2f}, "
         f"dense step x{dense_growth:.2f}  (report: {REPORT_PATH})"
@@ -155,125 +137,4 @@ def test_bench_train_throughput():
     assert sparse_growth <= 5.0, (
         f"sparse per-step cost grew {sparse_growth:.1f}x over a "
         f"{table_growth:.0f}x table growth; expected ~flat (<= 5x)"
-    )
-
-
-# ----------------------------------------------------------------------
-# Fused attention ops + float32 dtype policy vs the op-by-op baseline
-# ----------------------------------------------------------------------
-
-FUSED_MEASURE_STEPS = int(os.environ.get("BENCH_FUSED_STEPS", "12"))
-FUSED_WARMUP_STEPS = 3
-#: (batch groups, members per group) — attention work grows with both.
-FUSED_SCALES = ((64, 4), (128, 8), (256, 12))
-FUSED_DIM = 32
-
-
-def _run_attention_training(batch_groups, group_size, dtype, fused, steps, seed=0):
-    """Time full GroupSA group-task BPR steps (attention-dominated)."""
-    num_users, num_items = 2_000, 3_000
-    config = GroupSAConfig(
-        embedding_dim=FUSED_DIM,
-        key_dim=FUSED_DIM,
-        value_dim=FUSED_DIM,
-        ffn_hidden=FUSED_DIM,
-        attention_hidden=FUSED_DIM,
-        prediction_hidden=(FUSED_DIM,),
-        fusion_hidden=(FUSED_DIM,),
-        dropout=0.1,
-        use_item_aggregation=False,
-        use_social_aggregation=False,
-        dtype=dtype,
-        seed=3,
-    )
-    model = GroupSA(num_users, num_items, config)
-    optimizer = Adam(model.parameters(), lr=0.01)
-    rng = np.random.default_rng(seed)
-    step_times = []
-    with fused_ops(fused):
-        for step in range(FUSED_WARMUP_STEPS + steps):
-            members = rng.integers(0, num_users, size=(batch_groups, group_size))
-            batch = GroupBatch(
-                group_ids=np.arange(batch_groups),
-                members=members,
-                mask=np.ones((batch_groups, group_size), dtype=bool),
-                adjacency=np.ones(
-                    (batch_groups, group_size, group_size), dtype=bool
-                ),
-            )
-            positives = rng.integers(0, num_items, size=batch_groups)
-            negatives = rng.integers(0, num_items, size=batch_groups)
-            started = time.perf_counter()
-            positive_scores = model.group_scores(batch, positives)
-            negative_scores = model.group_scores(batch, negatives)
-            loss = bpr_loss(positive_scores, negative_scores)
-            loss.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-            elapsed = time.perf_counter() - started
-            if step >= FUSED_WARMUP_STEPS:
-                step_times.append(elapsed)
-    times = np.asarray(step_times)
-    return {
-        "steps": int(times.size),
-        "median_step_s": float(np.median(times)),
-        "steps_per_s": float(1.0 / np.median(times)),
-    }
-
-
-def test_bench_fused_attention_throughput():
-    """Fused float32 vs unfused float64 on attention-dominated steps.
-
-    Acceptance floor (ISSUE 9): at the largest scale, the fused float32
-    configuration must reach >= 1.5x the steps/second of the float64
-    op-by-op baseline.
-    """
-    curve = []
-    for batch_groups, group_size in FUSED_SCALES:
-        baseline = _run_attention_training(
-            batch_groups, group_size, "float64", False, FUSED_MEASURE_STEPS
-        )
-        fused_f64 = _run_attention_training(
-            batch_groups, group_size, "float64", True, FUSED_MEASURE_STEPS
-        )
-        fused_f32 = _run_attention_training(
-            batch_groups, group_size, "float32", True, FUSED_MEASURE_STEPS
-        )
-        point = {
-            "batch_groups": batch_groups,
-            "group_size": group_size,
-            "baseline_float64_unfused": baseline,
-            "fused_float64": fused_f64,
-            "fused_float32": fused_f32,
-            "fused_float64_speedup": fused_f64["steps_per_s"] / baseline["steps_per_s"],
-            "fused_float32_speedup": fused_f32["steps_per_s"] / baseline["steps_per_s"],
-        }
-        curve.append(point)
-        print(
-            f"\nB={batch_groups:>3} L={group_size:>2}  "
-            f"baseline {baseline['steps_per_s']:7.1f} st/s   "
-            f"fused64 {fused_f64['steps_per_s']:7.1f} "
-            f"({point['fused_float64_speedup']:.2f}x)   "
-            f"fused32 {fused_f32['steps_per_s']:7.1f} "
-            f"({point['fused_float32_speedup']:.2f}x)",
-            end="",
-        )
-
-    _merge_report(
-        {
-            "fused_attention": {
-                "embedding_dim": FUSED_DIM,
-                "measure_steps": FUSED_MEASURE_STEPS,
-                "curve": curve,
-                "speedup_at_largest": curve[-1]["fused_float32_speedup"],
-            }
-        }
-    )
-    print(f"\n(report: {REPORT_PATH})")
-
-    largest = curve[-1]
-    assert largest["fused_float32_speedup"] >= 1.5, (
-        f"fused float32 training only {largest['fused_float32_speedup']:.2f}x "
-        f"the float64 op-by-op baseline at B={largest['batch_groups']} "
-        f"L={largest['group_size']} (acceptance floor is 1.5x)"
     )

@@ -4,16 +4,14 @@ Trains GroupSA briefly, launches a 2-worker shard cluster (one
 mmap-backed weight store, scatter-gather Top-K), shows that the
 router returns the same recommendation lists as single-process
 serving, survives a worker being killed, and reports fleet-merged
-metrics.  Finishes with a small worker-count scaling sweep.
+metrics.
 
     python examples/sharded_serving.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.cluster import ClusterConfig, ShardRouter, benchmark_sharded_scaling
+from repro.cluster import ClusterConfig
 from repro.core import GroupSAConfig
 from repro.data import split_interactions, yelp_like
 from repro.serving import RecommendationService
@@ -67,15 +65,7 @@ def main() -> None:
     print(f"fleet-merged request counters: {served}")
     clustered.close()
 
-    # Scaling sweep: rps/p99 per worker count, one shard per worker.
-    users = np.random.default_rng(0).integers(0, train.num_users, size=60)
-    scaling = benchmark_sharded_scaling(model, train, users, worker_counts=(1, 2))
-    for point in scaling["points"]:
-        print(
-            f"workers={point['workers']} shards={point['shards']}: "
-            f"{point['rps']:8.1f} req/s  p99 {point['p99_ms']:7.2f} ms  "
-            f"x{point['speedup_vs_first']:.2f}"
-        )
+    print("numbers: python3 benchmarks/perf/run.py --workload serve_cluster")
 
 
 if __name__ == "__main__":

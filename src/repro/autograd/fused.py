@@ -1,6 +1,6 @@
 """Fused composite autograd ops with hand-written gradients.
 
-Profiling (``results/BENCH_profile.json``) shows training step time
+Profiling (``repro profile``) shows training step time
 dominated by the attention blocks' backward matmuls plus the graph
 bookkeeping around them: the op-by-op graphs record 6-9 nodes per
 attention block, each with a closure, saved operands and broadcast

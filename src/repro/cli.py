@@ -10,12 +10,6 @@ Examples::
         --metrics-out run.jsonl --grad-health raise
     python -m repro.cli evaluate --data world.npz --model model.npz --task group
     python -m repro.cli recommend --data world.npz --model model.npz --group 3 -k 5
-    python -m repro.cli serve-bench --data world.npz --model model.npz --requests 200
-    python -m repro.cli serve-bench --data world.npz --model model.npz \
-        --workers 1,2,4 --shards 4 --json report.json
-    python -m repro.cli serve-bench --data world.npz --model model.npz \
-        --trace-out spans_trace.json --span-log spans.jsonl \
-        --metrics-out metrics.prom --slow-ms 50 --sample-rate 0.1
     python -m repro.cli profile --preset yelp --scale 0.01 \
         --trace-out trace.json --report-out profile.json
 """
@@ -23,7 +17,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -36,8 +29,8 @@ from repro.data.presets import douban_like, yelp_like
 from repro.data.splits import split_interactions
 from repro.data.stats import table1_statistics
 from repro.evaluation.protocol import evaluate, prepare_task
-from repro.evaluation.ranking import top_k_items
 from repro.persistence import load_model, save_model
+from repro.serving import RecommendationService
 from repro.training.callbacks import print_progress
 from repro.training.trainer import TrainingConfig
 from repro.training.two_stage import build_model, fit_groupsa, train_groupsa
@@ -140,178 +133,19 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 def _command_recommend(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    model = load_model(args.model)
-    batcher = GroupBatcher(dataset)
-    if args.group >= dataset.num_groups or args.group < 0:
-        print(f"error: group {args.group} out of range", file=sys.stderr)
+    service = RecommendationService.from_checkpoint(args.model, dataset)
+    try:
+        result = service.recommend_for_group(args.group, args.k)
+    except (IndexError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    top = top_k_items(
-        lambda groups, items: model.score_group_items(batcher.batch(groups), items),
-        entity=args.group,
-        num_items=dataset.num_items,
-        k=args.k,
-        exclude=dataset.group_items()[args.group],
-    )
     members = dataset.group_members[args.group]
     print(f"group #{args.group} (members {members.tolist()})")
-    print(f"top-{args.k}: {top.tolist()}")
-    gamma = model.member_attention(batcher.batch([args.group]), np.array([int(top[0])]))
-    print("voting weights for the top item:")
-    for member, weight in zip(members, gamma[0][: members.size]):
-        print(f"  user #{member}: {weight:.3f}")
-    return 0
-
-
-def _command_serve_bench(args: argparse.Namespace) -> int:
-    from repro.engine import EngineConfig, InferenceEngine, benchmark_user_serving
-    from repro.obs.spans import Tracer
-    from repro.obs.trace import write_span_chrome_trace
-    from repro.serving import RecommendationService
-
-    dataset = load_dataset(args.data)
-    service = RecommendationService.from_checkpoint(args.model, dataset)
-    engine = InferenceEngine(
-        service.model,
-        dataset,
-        config=EngineConfig(
-            max_batch_size=args.max_batch,
-            flush_interval=args.flush_ms / 1000.0,
-            score_cache_budget_mb=args.cache_mb,
-            retrieval=args.retrieval,
-            ann_nlist=args.nlist,
-            ann_nprobe=args.nprobe,
-            ann_candidates=args.ann_candidates,
-        ),
-    )
-    tracer = None
-    if args.trace_out or args.span_log:
-        tracer = Tracer(
-            sample_rate=args.sample_rate,
-            slow_ms=args.slow_ms,
-            jsonl_path=args.span_log,
-        ).install()
-    rng = np.random.default_rng(args.seed)
-    users = rng.integers(0, dataset.num_users, size=args.requests)
-    try:
-        report = benchmark_user_serving(
-            service, engine, users, k=args.k, clients=args.clients
-        )
-        report["retrieval"] = args.retrieval
-    finally:
-        if tracer is not None:
-            tracer.uninstall()
-        engine.close()
-    for mode in ("direct", "engine"):
-        side = report[mode]
-        print(
-            f"{mode:8s} {side['rps']:10.1f} req/s   "
-            f"p50 {side['p50_ms']:8.3f} ms   p99 {side['p99_ms']:8.3f} ms"
-        )
-    print(f"speedup  {report['speedup_rps']:10.1f}x (requests/second)")
-    if args.workers:
-        from repro.cluster import benchmark_sharded_scaling
-
-        worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
-        scaling = benchmark_sharded_scaling(
-            service.model,
-            dataset,
-            users,
-            worker_counts,
-            k=args.k,
-            num_shards=args.shards,
-            clients=args.clients,
-            dataset_path=args.data,
-            retrieval=args.retrieval,
-            ann_nprobe=args.nprobe,
-            ann_nlist=args.nlist,
-            ann_candidates=args.ann_candidates,
-        )
-        report["sharded_scaling"] = scaling
-        for point in scaling["points"]:
-            print(
-                f"workers={point['workers']:<3d} shards={point['shards']:<3d} "
-                f"{point['rps']:10.1f} req/s   "
-                f"p50 {point['p50_ms']:8.3f} ms   p99 {point['p99_ms']:8.3f} ms   "
-                f"x{point['speedup_vs_first']:.2f} vs {scaling['points'][0]['workers']} worker(s)"
-            )
-    if tracer is not None:
-        report["tracing"] = tracer.summary()
-        kept = report["tracing"]["traces_kept"]
-        print(
-            f"tracing  kept {kept}/{report['tracing']['traces_started']} traces "
-            f"({report['tracing']['kept_slow']} slow, "
-            f"{report['tracing']['kept_error']} errored)"
-        )
-        if args.trace_out:
-            written = write_span_chrome_trace(tracer, args.trace_out)
-            print(f"wrote {args.trace_out} ({written} span events)")
-        if args.span_log:
-            tracer.close()
-            print(f"wrote {args.span_log}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(engine.telemetry.exposition())
-        print(f"wrote {args.metrics_out}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _command_online_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.online.bench import run_online_swap_bench
-    from repro.training.two_stage import build_model as build_groupsa
-
-    if args.data:
-        dataset = load_dataset(args.data)
-    else:
-        presets = {"yelp": yelp_like, "douban": douban_like}
-        dataset = presets[args.preset](scale=args.scale, seed=args.seed).dataset
-    split = split_interactions(dataset, rng=args.seed)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model, __ = build_groupsa(split, GroupSAConfig(embedding_dim=args.dim))
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-online-bench-")
-    report = run_online_swap_bench(
-        model,
-        dataset,
-        workdir,
-        num_requests=args.requests,
-        clients=args.clients,
-        k=args.k,
-        num_events=args.events,
-        events_per_version=args.events_per_version,
-        batch_size=args.batch_size,
-        keep_last=args.keep_last,
-        poll_interval=args.poll_ms / 1000.0,
-        seed=args.seed,
-        metrics_path=args.metrics_out,
-    )
-    for side in ("baseline_idle", "baseline", "with_swaps"):
-        summary = report[side]
-        print(
-            f"{side:10s} {summary['rps']:10.1f} req/s   "
-            f"p50 {summary['p50_ms']:8.3f} ms   p99 {summary['p99_ms']:8.3f} ms"
-        )
-    print(
-        f"p99 ratio  {report['p99_ratio']:.2f}x   "
-        f"swaps applied {report['swaps_applied']}   "
-        f"versions published {report['versions_published']}   "
-        f"failed requests {len(report['failed_requests'])}"
-    )
-    if args.json:
-        import os
-
-        os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    if args.metrics_out:
-        print(f"wrote {args.metrics_out}")
+    print(f"top-{args.k}: {result.items}")
+    if result.voting_weights:
+        print("voting weights for the top item:")
+        for member, weight in result.voting_weights.items():
+            print(f"  user #{member}: {weight:.3f}")
     return 0
 
 
@@ -551,136 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--group", type=int, required=True)
     recommend.add_argument("-k", type=int, default=10)
     recommend.set_defaults(handler=_command_recommend)
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="benchmark direct vs engine-backed (and, with --workers, "
-        "sharded multi-process) user Top-K serving",
-    )
-    serve_bench.add_argument("--data", required=True)
-    serve_bench.add_argument("--model", required=True)
-    serve_bench.add_argument("--requests", type=int, default=200)
-    serve_bench.add_argument("-k", type=int, default=10)
-    serve_bench.add_argument("--clients", type=int, default=8)
-    serve_bench.add_argument("--max-batch", type=int, default=64)
-    serve_bench.add_argument("--flush-ms", type=float, default=0.0)
-    serve_bench.add_argument("--cache-mb", type=float, default=None)
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--json", default=None, help="write the report here")
-    serve_bench.add_argument(
-        "--workers",
-        default=None,
-        help="also benchmark sharded multi-process serving at these "
-        "worker counts (comma-separated, e.g. 1,2,4)",
-    )
-    serve_bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --workers runs (default: one shard per worker)",
-    )
-    serve_bench.add_argument(
-        "--retrieval",
-        choices=["exhaustive", "ann"],
-        default="exhaustive",
-        help="candidate generation: exhaustive full-catalog scoring "
-        "(default, bit-exact) or IVF ANN candidates + exact rerank",
-    )
-    serve_bench.add_argument(
-        "--nprobe",
-        type=int,
-        default=8,
-        help="ANN: inverted lists probed per query (higher = better "
-        "recall, slower)",
-    )
-    serve_bench.add_argument(
-        "--nlist",
-        type=int,
-        default=None,
-        help="ANN: number of inverted lists (default: ~sqrt(num_items))",
-    )
-    serve_bench.add_argument(
-        "--ann-candidates",
-        type=int,
-        default=256,
-        help="ANN: candidate pool size handed to the exact reranker",
-    )
-    serve_bench.add_argument(
-        "--trace-out",
-        default=None,
-        help="enable request tracing and write sampled span trees as a "
-        "chrome://tracing JSON timeline",
-    )
-    serve_bench.add_argument(
-        "--span-log",
-        default=None,
-        help="enable request tracing and append kept spans to this JSONL file",
-    )
-    serve_bench.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the engine's Prometheus text exposition here",
-    )
-    serve_bench.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help="always keep traces whose root is slower than this many "
-        "milliseconds, regardless of --sample-rate",
-    )
-    serve_bench.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="head-sampling probability for request traces (slow and "
-        "errored requests are always kept)",
-    )
-    serve_bench.set_defaults(handler=_command_serve_bench)
-
-    online_bench = commands.add_parser(
-        "online-bench",
-        help="measure serving p99 during continuous hot-swaps vs a "
-        "no-swap baseline (streaming trainer publishing versions, "
-        "ModelSwapper applying them under live traffic)",
-    )
-    online_bench.add_argument("--data", default=None, help="saved dataset (.npz)")
-    online_bench.add_argument("--preset", choices=("yelp", "douban"), default="yelp")
-    online_bench.add_argument("--scale", type=float, default=0.02)
-    online_bench.add_argument(
-        "--model", default=None, help="checkpoint to stream-train (default: fresh)"
-    )
-    online_bench.add_argument("--dim", type=int, default=32)
-    online_bench.add_argument("--requests", type=int, default=400)
-    online_bench.add_argument("-k", type=int, default=10)
-    online_bench.add_argument("--clients", type=int, default=4)
-    online_bench.add_argument("--events", type=int, default=2000)
-    online_bench.add_argument(
-        "--events-per-version",
-        type=int,
-        default=32,
-        help="events consumed per published version (lower = more swap "
-        "pressure)",
-    )
-    online_bench.add_argument("--batch-size", type=int, default=16)
-    online_bench.add_argument("--keep-last", type=int, default=3)
-    online_bench.add_argument(
-        "--poll-ms",
-        type=float,
-        default=10.0,
-        help="ModelSwapper poll interval in milliseconds",
-    )
-    online_bench.add_argument("--seed", type=int, default=0)
-    online_bench.add_argument(
-        "--workdir", default=None, help="event log + snapshots go here"
-    )
-    online_bench.add_argument("--json", default=None, help="write the report here")
-    online_bench.add_argument(
-        "--metrics-out",
-        default=None,
-        help="stream per-replay-batch trainer metrics (offset, loss, "
-        "events/s, replay lag) to this JSONL file",
-    )
-    online_bench.set_defaults(handler=_command_online_bench)
 
     obs_report = commands.add_parser(
         "obs-report",

@@ -18,16 +18,13 @@ of request handling.  This package shards the *item catalog* instead:
   (descending score, ascending global item id);
 - :mod:`repro.cluster.router` — :class:`ShardRouter`: scatter-gather
   with per-request worker restart-once recovery, fleet-exact metric
-  aggregation, and results bit-identical to single-process serving;
-- :mod:`repro.cluster.bench` — the rps/p99-vs-worker-count scaling
-  harness behind ``repro serve-bench --workers``.
+  aggregation, and results bit-identical to single-process serving.
 
 Because user, group and ad-hoc traffic all reduce to the same
 score-items-then-Top-K loop (the paper's Section II-F fast path), one
 item-sharded scoring tier accelerates every request kind at once.
 """
 
-from repro.cluster.bench import benchmark_sharded_scaling
 from repro.cluster.merge import merge_topk
 from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterConfig, ClusterError, ShardRouter
@@ -39,7 +36,6 @@ from repro.cluster.weights import (
 from repro.cluster.worker import ShardScorer, WorkerSpec
 
 __all__ = [
-    "benchmark_sharded_scaling",
     "merge_topk",
     "ShardPlan",
     "ClusterConfig",

@@ -47,7 +47,7 @@ generation / forward / Top-K kernel, merge contribution) serialized by
 a :class:`~repro.obs.spans.RemoteSpanRecorder`.  With tracing off both
 sides send exactly the pre-tracing 5-tuples, so the disabled path
 pickles byte-identical messages (guarded by
-``benchmarks/test_bench_cluster_trace.py``).
+``tests/cluster/test_distributed_tracing.py::TestWireFormat``).
 
 The ``swap`` op re-attaches the worker to a new versioned weight-store
 directory and rebuilds its scorers (including per-shard IVF indexes)

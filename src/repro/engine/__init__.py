@@ -14,17 +14,11 @@ Layered between a trained :class:`~repro.core.groupsa.GroupSA` and the
   Prometheus exposition); request tracing via :mod:`repro.obs.spans`;
 - :mod:`repro.engine.scorer` — the scoring core (candidates, model
   scores, Top-K over an item slice) every serving mode ranks through;
-- :mod:`repro.engine.service` — the engine tying the stages together;
-- :mod:`repro.engine.bench` — direct-vs-engine benchmark harness.
+- :mod:`repro.engine.service` — the engine tying the stages together.
 """
 
 from repro.engine.ann import IVFIndex, default_nlist, recall_at_k
 from repro.engine.batching import MicroBatcher
-from repro.engine.bench import (
-    benchmark_ann_crossover,
-    benchmark_user_serving,
-    run_closed_loop,
-)
 from repro.engine.score_cache import LRUCache, ScoreCache
 from repro.engine.service import EngineConfig, InferenceEngine
 from repro.engine.telemetry import Telemetry
@@ -35,9 +29,6 @@ __all__ = [
     "default_nlist",
     "recall_at_k",
     "MicroBatcher",
-    "benchmark_ann_crossover",
-    "benchmark_user_serving",
-    "run_closed_loop",
     "LRUCache",
     "ScoreCache",
     "EngineConfig",

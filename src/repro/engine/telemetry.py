@@ -24,11 +24,6 @@ from typing import Dict, Iterator, Optional
 
 from repro.obs.metrics_registry import Histogram, MetricsRegistry
 
-#: Kept for backward compatibility with the reservoir-era constructor
-#: signature; log-bucket histograms retain the *full* history, so the
-#: value is accepted and ignored.
-DEFAULT_MAX_SAMPLES = 8192
-
 #: Registry-name prefix for latency stages; occupancy gets its own name
 #: so it never collides with a stage called "occupancy".
 _STAGE_PREFIX = "stage."
@@ -71,12 +66,7 @@ class Telemetry:
     across workers) and as Prometheus text via :meth:`exposition`.
     """
 
-    def __init__(
-        self,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        del max_samples  # reservoir-era knob; full history is now kept
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry or MetricsRegistry()
         self._occupancy = self.registry.histogram(
             _OCCUPANCY, lo=_OCCUPANCY_LO, hi=_OCCUPANCY_HI

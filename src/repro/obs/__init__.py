@@ -38,9 +38,8 @@ Cross-cutting measurement for the training stack, mirroring what
   fleet ops report (metrics + SLO + alerts + traces + online health)
   as JSON and a self-contained HTML dashboard.
 
-CLI entry points: ``repro profile``, ``repro train --metrics-out``,
-``repro serve-bench --trace-out/--metrics-out/--slow-ms``,
-``repro online-bench --metrics-out`` and ``repro obs-report``.
+CLI entry points: ``repro profile``, ``repro train --metrics-out``
+and ``repro obs-report``.
 """
 
 from repro.obs.alerts import ALERT_SCHEMA, AlertEvent, AlertLog

@@ -20,7 +20,7 @@ module-level :func:`span` / :func:`current_span` helpers, which check
 one module-global (``_ACTIVE``) and return a shared no-op object when
 no tracer is installed — no allocation, no lock, no contextvar access
 on the disabled hot path (asserted by
-``benchmarks/test_bench_engine_throughput.py``).
+``tests/obs/test_spans.py::TestDisabled``).
 
 Usage::
 

@@ -9,8 +9,6 @@ The train→serve loop (docs/online.md):
 3. :class:`ModelSwapper` watches the snapshot directory and hot-swaps a
    :class:`~repro.serving.RecommendationService` onto each new version
    without dropping a request (:mod:`repro.online.swap`).
-
-:func:`run_online_swap_bench` measures the zero-downtime claim.
 """
 
 from repro.online.events import (
@@ -48,10 +46,3 @@ __all__ = [
     "write_event_log",
 ]
 
-
-def run_online_swap_bench(*args, **kwargs):
-    """Lazy forward to :func:`repro.online.bench.run_online_swap_bench`
-    (keeps the serving stack out of import-time for log/trainer users)."""
-    from repro.online.bench import run_online_swap_bench as bench
-
-    return bench(*args, **kwargs)

@@ -56,7 +56,7 @@ class TestRebuildConfig:
 
     def test_rebuilt_recall_against_new_vectors(self, vectors, new_vectors):
         # Structure-free Gaussian vectors are IVF's adversarial case, so
-        # the probe budget covers most lists (as auto_nprobe would).
+        # the probe budget covers most lists.
         index = IVFIndex(vectors, nlist=16, nprobe=12, seed=0)
         rebuilt = index.rebuild(new_vectors)
         queries = np.random.default_rng(20).standard_normal((50, 12))

@@ -28,11 +28,9 @@ class TestStages:
         assert summary["max_ms"] >= 10.0
 
     def test_full_history_percentiles(self):
-        # The reservoir era kept only the most recent max_samples, so
-        # percentiles silently forgot old samples; the log-bucket
-        # histograms keep the full history (max_samples is accepted for
-        # compatibility and ignored).
-        telemetry = Telemetry(max_samples=4)
+        # Percentiles cover every sample ever recorded, not a window of
+        # the most recent ones.
+        telemetry = Telemetry()
         for index in range(10):
             telemetry.record_latency("stage", float(index))
         summary = telemetry.snapshot()["stages"]["stage"]

@@ -1,9 +1,12 @@
 """End-to-end CLI workflow: generate -> train -> evaluate -> recommend."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.data.io import load_dataset
+from repro.serving import RecommendationService
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +88,59 @@ class TestCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "top-3" in out and "voting weights" in out
+        assert "voting weights" in out
+        service = RecommendationService.from_checkpoint(model, load_dataset(data))
+        assert f"top-3: {service.recommend_for_group(0, 3).items}" in out
 
-    def test_recommend_bad_group(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "request_args, message",
+        [
+            (["--group", "99999"], "group 99999 out of range"),
+            (["--group", "0", "-k", "0"], "k must be >= 1, got 0"),
+            (["--group", "0", "-k", "-3"], "k must be >= 1, got -3"),
+        ],
+    )
+    def test_recommend_bad_group(self, workspace, capsys, request_args, message):
         data, model = workspace
         code = main(
-            ["recommend", "--data", str(data), "--model", str(model), "--group", "99999"]
+            ["recommend", "--data", str(data), "--model", str(model)] + request_args
         )
         assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and "top-" not in captured.out
 
-    def test_unknown_command_rejected(self):
+    @pytest.mark.parametrize("command", ["frobnicate", "serve-bench", "online-bench"])
+    def test_unknown_command_rejected(self, command):
         with pytest.raises(SystemExit):
-            main(["frobnicate"])
+            main([command])
+
+    def test_profile_writes_report_and_trace(self, workspace, tmp_path):
+        data, __ = workspace
+        report_path = tmp_path / "profile.json"
+        trace_path = tmp_path / "trace.json"
+        code = main(
+            [
+                "profile",
+                "--data", str(data),
+                "--user-epochs", "1",
+                "--group-epochs", "1",
+                "--report-out", str(report_path),
+                "--trace-out", str(trace_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["schema"] == "repro.obs/v1"
+        assert report["kind"] == "op_profile"
+        assert report["data"]["totals"]["flops"] > 0
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        # Attention work is attributed to its module scope, whatever op
+        # carries it (fused: masked_attention / pairwise_logits).
+        assert any(
+            event["cat"] == "op" and "attention" in event["args"]["scope"]
+            for event in events
+        )
 
 
 class TestCliCheckpointing:

@@ -4,7 +4,7 @@ Satellite of ISSUE 10: the OnlineTrainer emits one
 ``repro.obs/online-batch/v1`` JSONL record per optimizer step (offset,
 loss, events/sec, replay lag), reusing the run-metrics JSONL writer,
 and ``EventLogReader.lag_bytes`` reports how far the consumer trails
-the log — both surfaced via ``repro online-bench --metrics-out``.
+the log.
 """
 
 import json
@@ -111,15 +111,6 @@ class TestBatchMetricsStream:
 
 
 class TestCliWiring:
-    def test_online_bench_accepts_metrics_out(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["online-bench", "--metrics-out", "out/batches.jsonl"]
-        )
-        assert args.metrics_out == "out/batches.jsonl"
-        assert args.handler is not None
-
     def test_obs_report_command_registered(self):
         from repro.cli import build_parser
 
