@@ -28,16 +28,22 @@ gather rows out of the shared pages without ever copying a table.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
+
+from repro.core.groupsa import GroupSA
+from repro.persistence import (
+    atomic_write,
+    decode_config,
+    model_arrays,
+    model_meta,
+    top_neighbours_from,
+)
 
 PathLike = Union[str, Path]
 
@@ -120,17 +126,11 @@ class SharedWeightStore:
             os.fsync(handle.fileno())
         manifest = {"format": _FORMAT, "arrays": entries, "meta": meta or {}}
         # Manifest last, atomically: attach() can never see a half store.
-        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, directory / MANIFEST_NAME)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        atomic_write(
+            directory / MANIFEST_NAME,
+            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+            text=True,
+        )
         return cls.attach(directory)
 
     @classmethod
@@ -234,30 +234,13 @@ class VersionedStoreGC:
 # GroupSA-shaped store
 # ----------------------------------------------------------------------
 
-_PARAM_PREFIX = "param/"
-_TABLE_PREFIX = "tables/"
-
 
 def write_model_store(model, directory: PathLike) -> SharedWeightStore:
     """Serialize a trained GroupSA into a shared weight store."""
-    arrays: Dict[str, np.ndarray] = {
-        _PARAM_PREFIX + name: weights for name, weights in model.state_dict().items()
-    }
-    tables = model.top_neighbours
-    if tables is not None:
-        arrays[_TABLE_PREFIX + "items"] = tables.items
-        arrays[_TABLE_PREFIX + "item_mask"] = tables.item_mask
-        arrays[_TABLE_PREFIX + "friends"] = tables.friends
-        arrays[_TABLE_PREFIX + "friend_mask"] = tables.friend_mask
-    meta = {
-        "config": json.dumps(dataclasses.asdict(model.config)),
-        "num_users": model.num_users,
-        "num_items": model.num_items,
-        # Redundant with the config JSON and per-array manifest dtypes,
-        # but directly inspectable by ops tooling without parsing either.
-        "dtype": model.config.dtype,
-    }
-    return SharedWeightStore.create(directory, arrays, meta=meta)
+    # ``dtype`` is redundant with the config JSON and per-array manifest
+    # dtypes, but directly inspectable by ops tooling without parsing either.
+    meta = {**model_meta(model), "dtype": model.config.dtype}
+    return SharedWeightStore.create(directory, model_arrays(model), meta=meta)
 
 
 def attach_shared_model(directory: PathLike):
@@ -268,15 +251,11 @@ def attach_shared_model(directory: PathLike):
     mode-``"r"`` memmap, so forward passes gather shared pages and any
     accidental in-place write raises immediately.
     """
-    from repro.core.groupsa import GroupSA
-    from repro.data.loaders import TopNeighbours
-    from repro.persistence import _decode_config
-
     store = SharedWeightStore.attach(directory)
-    config = _decode_config(store.meta["config"])
+    config = decode_config(store.meta["config"])
     model = GroupSA(int(store.meta["num_users"]), int(store.meta["num_items"]), config)
     for name, parameter in model.named_parameters():
-        mapped = store[_PARAM_PREFIX + name]
+        mapped = store[f"param/{name}"]
         if parameter.data.shape != mapped.shape:
             raise ValueError(
                 f"shape mismatch for '{name}': "
@@ -285,14 +264,8 @@ def attach_shared_model(directory: PathLike):
         # Replace the freshly initialized array outright (assignment,
         # not copy) so the table never exists as private memory.
         parameter.data = mapped
-    if _TABLE_PREFIX + "items" in store:
-        model.set_top_neighbours(
-            TopNeighbours(
-                items=store[_TABLE_PREFIX + "items"],
-                item_mask=store[_TABLE_PREFIX + "item_mask"],
-                friends=store[_TABLE_PREFIX + "friends"],
-                friend_mask=store[_TABLE_PREFIX + "friend_mask"],
-            )
-        )
+    tables = top_neighbours_from(store)
+    if tables is not None:
+        model.set_top_neighbours(tables)
     model.eval()
     return model

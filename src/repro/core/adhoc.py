@@ -65,6 +65,14 @@ class AdhocGroupRecommender:
 
         recommender = AdhocGroupRecommender(model, dataset)
         top = recommender.recommend([12, 57, 301], k=5)
+
+    ``recommend*`` and :meth:`canonical_members` serve no request: with
+    :func:`repro.evaluation.ranking.top_k_scored` they are the
+    independent reference of ``tests/integration/test_scoring_modes.py``,
+    the benchmark harness's ``Oracle`` and ``examples/adhoc_serving.py``,
+    kept apart from :mod:`repro.engine.scorer`'s ``rank`` and
+    ``canonical_members`` on purpose so the oracle never shares a bug
+    with the serving path.
     """
 
     def __init__(self, model: GroupSA, dataset: GroupRecommendationDataset) -> None:
@@ -88,7 +96,8 @@ class AdhocGroupRecommender:
         exclude_member_history: bool = True,
         batch: Optional[GroupBatch] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-K item ids for an ad-hoc group, best first, and their scores.
+        """Top-K item ids for an ad-hoc group, best first, and their scores
+        (the reference list; see the class docstring).
 
         ``batch``: :meth:`batch` of ``members``, when already built.
         """
@@ -121,7 +130,9 @@ class AdhocGroupRecommender:
 
         :func:`build_adhoc_batch` lays members out via ``np.unique``;
         any per-member output (e.g. :meth:`voting_weights`) follows
-        this order, so callers should pair against it explicitly.
+        this order, so callers should pair against it explicitly.  The
+        reference twin of :func:`repro.engine.scorer.canonical_members`
+        (see the class docstring), not merged with it.
         """
         return np.unique(np.asarray(members, dtype=np.int64))
 

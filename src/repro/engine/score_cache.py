@@ -10,8 +10,7 @@ request is a fancy-index plus an aggregation.
 memory budget caps how many blocks stay resident (block-level LRU), so
 the cache degrades gracefully on worlds too large to hold densely.
 
-:class:`LRUCache` is the generic bounded map underneath, reused for
-ad-hoc group structures keyed by frozen member tuples.
+:class:`LRUCache` is the generic bounded map underneath.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class LRUCache:
                 if self._telemetry:
                     self._telemetry.increment(f"{self._name}.evict")
 
-    def remove(self, key: Hashable) -> bool:
-        """Drop ``key`` outright (not an eviction); True if it existed."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -88,10 +82,6 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
-
-    def keys(self):
-        with self._lock:
-            return list(self._entries.keys())
 
 
 class ScoreCache:
@@ -110,12 +100,6 @@ class ScoreCache:
         default — the dense matrix for these worlds is small).  When
         the budget is smaller than the matrix, least-recently-used
         blocks are dropped and recomputed on demand.
-    model_version:
-        Version tag stamped on every block computed by this cache.
-        Lookups only ever match blocks carrying the *current* version,
-        so after :meth:`bump_model_version` a block computed under an
-        older model can never serve scores again — hot-swap serving
-        relies on this invariant (see docs/online.md).
     """
 
     def __init__(
@@ -126,7 +110,6 @@ class ScoreCache:
         block_rows: int = 256,
         memory_budget_bytes: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        model_version: int = 0,
     ) -> None:
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
@@ -135,7 +118,6 @@ class ScoreCache:
         self.num_items = num_items
         self.block_rows = min(block_rows, max(1, num_users))
         self.telemetry = telemetry
-        self._version = int(model_version)
         block_bytes = self.block_rows * num_items * np.dtype(np.float64).itemsize
         if memory_budget_bytes is None:
             max_blocks = self.num_blocks
@@ -151,41 +133,6 @@ class ScoreCache:
     @property
     def num_blocks(self) -> int:
         return (self.num_users + self.block_rows - 1) // self.block_rows
-
-    @property
-    def model_version(self) -> int:
-        """Version tag stamped on blocks computed from now on."""
-        return self._version
-
-    def bump_model_version(
-        self, version: int, score_fn: Optional[ScoreFn] = None
-    ) -> None:
-        """Move the cache onto ``version`` (and optionally a new scorer).
-
-        Blocks computed under earlier versions become unreachable
-        immediately (their keys carry the old version) and are dropped
-        eagerly via :meth:`invalidate_version`.
-        """
-        version = int(version)
-        if version <= self._version:
-            raise ValueError(
-                f"model_version must increase: {version} <= {self._version}"
-            )
-        previous = self._version
-        if score_fn is not None:
-            self.score_fn = score_fn
-        self._version = version
-        self.invalidate_version(previous)
-
-    def invalidate_version(self, version: int) -> int:
-        """Drop every resident block tagged with ``version``; returns count."""
-        dropped = 0
-        for key in self._blocks.keys():
-            if key[0] == version and self._blocks.remove(key):
-                dropped += 1
-        if self.telemetry and dropped:
-            self.telemetry.increment("score_cache.invalidated", dropped)
-        return dropped
 
     @property
     def resident_blocks(self) -> int:
@@ -223,17 +170,16 @@ class ScoreCache:
         return rows
 
     def _get_block(self, block_id: int) -> np.ndarray:
-        key = (self._version, block_id)
-        block = self._blocks.get(key)
+        block = self._blocks.get(block_id)
         if block is not None:
             return block
         # One computation at a time: concurrent misses for the same
         # block would otherwise duplicate an expensive forward pass.
         with self._compute_lock:
-            block = self._blocks.peek(key)
+            block = self._blocks.peek(block_id)
             if block is None:
                 block = self._compute_block(block_id)
-                self._blocks.put(key, block)
+                self._blocks.put(block_id, block)
         return block
 
     # ------------------------------------------------------------------
@@ -256,10 +202,7 @@ class ScoreCache:
             out = np.empty((users.size, self.num_items))
             misses = 0
             for block_id in np.unique(users // self.block_rows):
-                if (
-                    lookup is not None
-                    and self._blocks.peek((self._version, int(block_id))) is None
-                ):
+                if lookup is not None and self._blocks.peek(int(block_id)) is None:
                     misses += 1
                 block = self._get_block(int(block_id))
                 rows = np.nonzero(users // self.block_rows == block_id)[0]

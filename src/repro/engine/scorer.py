@@ -6,8 +6,8 @@ for a user — so every request is the same three steps: pick candidate
 items, score them with the model, select the Top-K.  :class:`Scorer`
 is the one implementation, bound to a model version and an *item
 slice*; the serving modes are shells over it.  Direct mode is a scorer
-over the whole catalog; the engine adds a queue, a row cache and an
-ad-hoc LRU (:mod:`repro.engine.service`); a cluster worker is one
+over the whole catalog; the engine adds a queue and a row cache
+(:mod:`repro.engine.service`); a cluster worker is one
 scorer per shard plus the exact merge (:mod:`repro.cluster.worker`).
 
 Candidates are always ascending owned ids with the excluded ones
@@ -246,7 +246,7 @@ class Scorer:
     def rank(self, kind: str, arg, k: int, phase=no_phase, adhoc=None) -> TopK:
         """Top-K of one validated request: ``arg`` is a user id, a group
         id or a member tuple; ``adhoc`` is :meth:`RequestViews.adhoc` of
-        that tuple when the caller already holds it (the engine's LRU,
+        that tuple when the caller already holds it (in every mode,
         the service's explanation batch).  A group, dataset or ad-hoc,
         is its one-row batch scored against its candidates.
         """

@@ -2,8 +2,8 @@
 
 Sits between the model and :class:`repro.serving.RecommendationService`.
 Ranking is the scoring core's (:mod:`repro.engine.scorer`, over the whole
-catalog); the engine is the queue, the row cache and the ad-hoc LRU around
-it.  Three request kinds flow through one micro-batch queue:
+catalog); the engine is the queue and the row cache around it.  Three
+request kinds flow through one micro-batch queue:
 
 - ``user`` — answered from the precomputed score-matrix cache
   (Section II-F fast path): a row fetch, an exclusion mask and a
@@ -12,7 +12,7 @@ it.  Three request kinds flow through one micro-batch queue:
 - ``group`` — dataset groups; each request is its one batch row scored
   against its candidates (``score_group_items``'s one-row form);
 - ``adhoc`` — serving-time member lists; the padded batch structure is
-  LRU-cached per frozen member tuple, scoring is vectorized over the
+  the caller's or built per request, scoring is vectorized over the
   candidate items.
 
 All stages record into a shared :class:`Telemetry`; snapshots expose
@@ -21,7 +21,6 @@ per-stage latency, cache hit rates and batch occupancy.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 from repro.core.groupsa import GroupSA
 from repro.engine.ann import IVFIndex
 from repro.engine.batching import MicroBatcher
-from repro.engine.score_cache import LRUCache, ScoreCache
+from repro.engine.score_cache import ScoreCache
 from repro.engine.scorer import (
     RequestViews,
     Scorer,
@@ -59,10 +58,6 @@ class EngineConfig:
     score_cache_budget_mb:
         Resident score-cache budget in MiB; ``None`` keeps the whole
         user×item matrix.
-    adhoc_cache_size:
-        LRU capacity for ad-hoc group structures (frozen member tuples).
-    warm_on_start:
-        Precompute the score cache when the engine is constructed.
     retrieval:
         ``"exhaustive"`` (default) scores the full catalog per request,
         bit-identical to the pre-ANN engine.  ``"ann"`` generates a
@@ -84,8 +79,6 @@ class EngineConfig:
     flush_interval: float = 0.0
     score_block_rows: int = 256
     score_cache_budget_mb: Optional[float] = None
-    adhoc_cache_size: int = 128
-    warm_on_start: bool = False
     retrieval: str = "exhaustive"
     ann_nlist: Optional[int] = None
     ann_nprobe: int = 8
@@ -144,12 +137,6 @@ class InferenceEngine:
         self.telemetry.registry.gauge("engine.model_version").set(
             int(model_version)
         )
-        self._adhoc_entries = LRUCache(
-            capacity=self.config.adhoc_cache_size,
-            telemetry=self.telemetry,
-            name="adhoc_cache",
-        )
-        self._adhoc_lock = threading.Lock()
         self._batcher_queue = MicroBatcher(
             self._execute,
             max_batch_size=self.config.max_batch_size,
@@ -157,14 +144,12 @@ class InferenceEngine:
             telemetry=self.telemetry,
             autostart=autostart,
         )
-        if self.config.warm_on_start:
-            self.warm()
 
     def _build_state(
         self, model: GroupSA, version: int, ann_index: Optional[IVFIndex]
     ) -> _EngineState:
         """The serving bundle of ``model``: a size-checked scorer over
-        the whole catalog and an empty version-keyed score cache."""
+        the whole catalog and an empty score cache of its own."""
         scorer = Scorer(
             model,
             self.views,
@@ -181,7 +166,6 @@ class InferenceEngine:
             block_rows=self.config.score_block_rows,
             memory_budget_bytes=None if budget is None else int(budget * 2**20),
             telemetry=self.telemetry,
-            model_version=version,
         )
         return _EngineState(scorer, cache)
 
@@ -203,17 +187,11 @@ class InferenceEngine:
     def model_version(self) -> int:
         return self._state.scorer.version
 
-    def swap_model(
-        self,
-        model: GroupSA,
-        version: Optional[int] = None,
-        ann_index: Optional[IVFIndex] = None,
-    ) -> int:
+    def swap_model(self, model: GroupSA, version: Optional[int] = None) -> int:
         """Atomically route all future batches to ``model``.
 
-        Builds the new serving bundle (fresh version-keyed score cache,
-        and — in ANN mode — a rebuilt IVF index unless a prebuilt
-        ``ann_index`` is supplied) and then publishes it as a single
+        Builds the new serving bundle (fresh score cache and, in ANN
+        mode, a rebuilt IVF index) and then publishes it as a single
         reference assignment.  In-flight batches captured the previous
         bundle and finish on it; no request is dropped or blocked.  A
         model whose table sizes do not match the dataset is rejected
@@ -230,9 +208,8 @@ class InferenceEngine:
             )
         with self.telemetry.time("engine.swap"):
             with span("engine.swap", version=version):
-                if self.config.retrieval != "ann":
-                    ann_index = None
-                elif ann_index is None:
+                ann_index = None
+                if self.config.retrieval == "ann":
                     with span("engine.swap.ann_rebuild"):
                         with self.telemetry.time("ann.build"):
                             ann_index = old.scorer.ann_index.rebuild(
@@ -242,10 +219,6 @@ class InferenceEngine:
                     state = self._build_state(model, version, ann_index)
                 with span("engine.swap.publish", version=version):
                     self._state = state
-                # Eagerly free the superseded blocks — in-flight batches
-                # holding the old bundle recompute on demand (same model,
-                # same version key), so this only costs them latency.
-                old.score_cache.invalidate_version(old.scorer.version)
         self.telemetry.increment("engine.swaps")
         self.telemetry.registry.gauge("engine.model_version").set(version)
         return version
@@ -275,22 +248,24 @@ class InferenceEngine:
     # -- submission -----------------------------------------------------
 
     def submit(
-        self, kind: str, arg, k: int = 10, versioned: bool = False
+        self, kind: str, arg, k: int = 10, versioned: bool = False, adhoc=None
     ) -> "Future[TopK]":
         """Validate and queue one ``user`` / ``group`` / ``adhoc`` request;
-        resolves to its :data:`TopK` (plus the version if ``versioned``)."""
+        resolves to its :data:`TopK` (plus the version if ``versioned``).
+        ``adhoc`` is :meth:`RequestViews.adhoc` of the members when the
+        caller holds it; without it the batch is built at ranking time."""
         payload = self.views.check(kind, arg, k)
         self.telemetry.increment(f"requests.{kind}")
-        return self._batcher_queue.submit((kind, payload, k, bool(versioned)))
+        return self._batcher_queue.submit((kind, payload, k, bool(versioned), adhoc))
 
-    def topk(self, kind: str, arg, k: int = 10, versioned: bool = False):
+    def topk(self, kind: str, arg, k: int = 10, versioned: bool = False, adhoc=None):
         """:meth:`submit` and wait.  ``versioned`` appends the model
         version the batch actually executed against (captured
         atomically with the scores)."""
         attrs = {"member_count": len(arg)} if kind == "adhoc" else {kind: int(arg)}
         with self.telemetry.time("engine.request"):
             with span("engine.submit", kind=kind, k=k, **attrs):
-                return self.submit(kind, arg, k, versioned).result()
+                return self.submit(kind, arg, k, versioned, adhoc).result()
 
     def submit_user(self, user: int, k: int = 10, versioned: bool = False):
         return self.submit("user", user, k, versioned)
@@ -356,14 +331,8 @@ class InferenceEngine:
         scorer = state.scorer
         if kind != "user":
             return [
-                scorer.rank(
-                    kind,
-                    arg,
-                    k,
-                    phase=span,
-                    adhoc=self._adhoc_entry(arg) if kind == "adhoc" else None,
-                )
-                for __, arg, k, __v in payloads
+                scorer.rank(kind, arg, k, phase=span, adhoc=adhoc)
+                for __, arg, k, __v, adhoc in payloads
             ]
         # One list: exhaustive requests with their cached rows (one fetch
         # for the flush), ANN requests to share one scoring pass.
@@ -374,19 +343,3 @@ class InferenceEngine:
                 np.array([user for user, __ in requests], dtype=np.int64)
             )
         return scorer.rank_users(requests, rows=rows, phase=span)
-
-    def _adhoc_entry(self, key: tuple):
-        """:meth:`RequestViews.adhoc` of ``key``, through the LRU."""
-        with span("adhoc_cache.lookup", member_count=len(key)) as lookup:
-            entry = self._adhoc_entries.get(key)
-            if lookup is not None:
-                lookup.set_attr("hit", entry is not None)
-            if entry is None:
-                with self._adhoc_lock:
-                    entry = self._adhoc_entries.peek(key)
-                    if entry is None:
-                        with self.telemetry.time("engine.adhoc_build"):
-                            with span("engine.adhoc_build", member_count=len(key)):
-                                entry = self.views.adhoc(key)
-                        self._adhoc_entries.put(key, entry)
-        return entry

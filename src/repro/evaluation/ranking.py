@@ -30,6 +30,12 @@ def top_k_scored(
     mask + ``argpartition``); ordering is identical to a stable
     descending sort — ties break toward the smaller item id.  The
     scores are the ranking pass's own: no second call of ``score_fn``.
+
+    Serves no request: this is the independent reference of
+    ``tests/integration/test_scoring_modes.py``, the benchmark harness's
+    ``Oracle`` and ``examples/adhoc_serving.py``.  It is kept out of the
+    path of :class:`repro.engine.scorer.Scorer` and not merged with it
+    on purpose, so the oracle never shares a bug with what it checks.
     """
     mask = exclusion_mask(num_items, exclude)
     candidates = (

@@ -21,15 +21,13 @@ the bit-exact resume test relies on.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.groupsa import GroupSA
-from repro.persistence import TrainingState, load_checkpoint
+from repro.persistence import TrainingState, atomic_write, load_checkpoint
 from repro.training.checkpointing import CheckpointManager
 
 PathLike = Union[str, Path]
@@ -118,19 +116,11 @@ class SnapshotPublisher:
             "filename": path.name,
             "published_at": published_at,
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".latest.", suffix=".tmp"
+        atomic_write(
+            self.directory / LATEST_NAME,
+            lambda handle: json.dump(payload, handle, sort_keys=True),
+            text=True,
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.directory / LATEST_NAME)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
         return SnapshotInfo(version=version, path=path, published_at=published_at)
 
     def load(

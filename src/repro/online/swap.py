@@ -12,8 +12,8 @@ router's rolling per-worker re-attach.  No request is ever dropped,
 failed, or served a half-swapped model.
 
 Everything expensive — checkpoint load, IVF index rebuild, fresh
-version-keyed score cache — happens on the swapper thread; the serving
-threads only ever observe one reference assignment.
+score cache — happens on the swapper thread; the serving threads only
+ever observe one reference assignment.
 
 Failure modes handled:
 
@@ -25,7 +25,9 @@ Failure modes handled:
 - **Load failure**: logged as a metric, old version keeps serving.
 - **Apply failure** (e.g. a model whose table sizes do not match the
   dataset): the service validates before it swaps anything, so the old
-  version keeps serving; counted in ``swap.apply_failures``.
+  version keeps serving; counted in ``swap.apply_failures``.  Either
+  failure is final for that version (snapshot writes are atomic): it is
+  counted once and skipped, unread, until ``LATEST`` names a newer one.
 
 Metrics (ISSUE 8 instrumentation): ``swap.apply`` latency histogram,
 ``swap.model_version`` gauge, ``swap.staleness_seconds`` gauge (age of
@@ -70,6 +72,8 @@ class ModelSwapper:
         self.poll_interval = float(poll_interval)
         self.registry = registry or MetricsRegistry()
         self.current: Optional[SnapshotInfo] = None
+        #: The version that failed to load or apply, not to be retried.
+        self._rejected: Optional[int] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._swap_latency = self.registry.histogram("swap.apply")
@@ -80,17 +84,21 @@ class ModelSwapper:
         """Poll once; swap if a newer version is published.
 
         Returns the newly applied :class:`SnapshotInfo`, or ``None``
-        when already current (or nothing is published yet).  Updates
-        the staleness gauge either way.
+        when already current, nothing is published yet, or ``LATEST``
+        still names the version that failed (the failure itself raises,
+        once).  Updates the staleness gauge either way.
         """
         info = read_latest(self.directory)
         current = self._current_version()
-        if info is not None and (current is None or info.version > current):
+        applied = None
+        if (
+            info is not None
+            and (current is None or info.version > current)
+            and info.version != self._rejected
+        ):
             applied = self._apply(info)
-            self._update_staleness()
-            return applied
         self._update_staleness()
-        return None
+        return applied
 
     def _current_version(self) -> Optional[int]:
         """Version currently serving: the last one this swapper applied,
@@ -110,6 +118,7 @@ class ModelSwapper:
                 self.registry.counter("swap.pruned_misses").inc()
                 return None
             except BaseException:
+                self._rejected = info.version
                 self.registry.counter("swap.load_failures").inc()
                 raise
             try:
@@ -118,6 +127,7 @@ class ModelSwapper:
             except BaseException:
                 # e.g. a snapshot of the wrong size: rejected before
                 # anything swapped, the old version keeps serving.
+                self._rejected = info.version
                 self.registry.counter("swap.apply_failures").inc()
                 raise
         self.current = info

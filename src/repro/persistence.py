@@ -15,7 +15,9 @@ remain loadable.
 All writes are atomic: the archive is serialized to a temporary file
 in the target directory, fsynced, and moved into place with
 ``os.replace``.  A crash mid-write can never corrupt an existing
-checkpoint at the target path.
+checkpoint at the target path.  :func:`atomic_write` is that writer, also
+behind ``best.npz``, ``LATEST.json`` and a weight store's manifest; the
+store shares :func:`model_arrays` / :func:`model_meta` as well.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import IO, Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,15 +76,26 @@ def _normalize_path(path: PathLike) -> Path:
     return path
 
 
-def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` archive atomically (tmp + fsync + ``os.replace``)."""
+def atomic_write(
+    path: PathLike, write: Callable[[IO], None], *, text: bool = False
+) -> None:
+    """Durably replace ``path`` with what ``write(handle)`` serializes.
+
+    Temporary file in the target directory (binary, or UTF-8 when
+    ``text``), flush, fsync, ``os.replace``, directory fsync; a failing
+    ``write`` or rename leaves the previous file untouched and no
+    ``*.tmp`` behind.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
+        with os.fdopen(
+            fd, "w" if text else "wb", encoding="utf-8" if text else None
+        ) as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -100,7 +113,7 @@ def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
             os.close(dir_fd)
 
 
-def _decode_config(raw_json: str) -> GroupSAConfig:
+def decode_config(raw_json: str) -> GroupSAConfig:
     """Parse a serialized :class:`GroupSAConfig`, tolerating newer writers.
 
     Unknown keys (fields added by a later version of the code) are
@@ -134,22 +147,35 @@ def _check_version(archive) -> int:
     return version
 
 
-def _model_payload(model: GroupSA) -> Dict[str, np.ndarray]:
-    payload = {
-        "__version__": np.array(_FORMAT_VERSION),
-        "__config__": np.array(json.dumps(dataclasses.asdict(model.config))),
-        "__num_users__": np.array(model.num_users),
-        "__num_items__": np.array(model.num_items),
-    }
-    for name, weights in model.state_dict().items():
-        payload[f"param/{name}"] = weights
+_TABLE_FIELDS = ("items", "item_mask", "friends", "friend_mask")
+
+
+def model_arrays(model: GroupSA) -> Dict[str, np.ndarray]:
+    """``param/<name>`` weights plus the ``tables/*`` Top-H neighbour
+    arrays, the names both on-disk formats store a model under."""
+    arrays = {f"param/{name}": w for name, w in model.state_dict().items()}
     tables = model.top_neighbours
     if tables is not None:
-        payload["tables/items"] = tables.items
-        payload["tables/item_mask"] = tables.item_mask
-        payload["tables/friends"] = tables.friends
-        payload["tables/friend_mask"] = tables.friend_mask
-    return payload
+        for field in _TABLE_FIELDS:
+            arrays[f"tables/{field}"] = getattr(tables, field)
+    return arrays
+
+
+def model_meta(model: GroupSA) -> Dict[str, Any]:
+    """What rebuilds an empty model of the same shape (config as JSON)."""
+    return {
+        "config": json.dumps(dataclasses.asdict(model.config)),
+        "num_users": model.num_users,
+        "num_items": model.num_items,
+    }
+
+
+def top_neighbours_from(arrays) -> Optional[TopNeighbours]:
+    """The tables :func:`model_arrays` stored in ``arrays`` (an open
+    archive or a weight store), ``None`` if the model had none."""
+    if "tables/items" not in arrays:
+        return None
+    return TopNeighbours(**{f: arrays[f"tables/{f}"] for f in _TABLE_FIELDS})
 
 
 def save_checkpoint(
@@ -168,7 +194,9 @@ def save_checkpoint(
     as native ``.npz`` entries and everything else as JSON metadata.
     """
     path = _normalize_path(path)
-    payload = _model_payload(model)
+    payload = {"__version__": np.array(_FORMAT_VERSION), **model_arrays(model)}
+    for key, value in model_meta(model).items():
+        payload[f"__{key}__"] = np.array(value)
     meta: Dict[str, Any] = {}
     if trainer_state is not None:
         optimizer = trainer_state["optimizer"]
@@ -184,7 +212,7 @@ def save_checkpoint(
         meta["metric"] = float(metric)
     if meta:
         payload["__train_meta__"] = np.array(json.dumps(meta))
-    _atomic_savez(path, payload)
+    atomic_write(path, lambda handle: np.savez_compressed(handle, **payload))
     return path
 
 
@@ -210,7 +238,7 @@ def load_checkpoint(
     path = _normalize_path(path)
     with np.load(path, allow_pickle=False) as archive:
         _check_version(archive)
-        config = _decode_config(str(archive["__config__"]))
+        config = decode_config(str(archive["__config__"]))
         if dtype is not None:
             config = config.variant(dtype=dtype)
         num_users = int(archive["__num_users__"])
@@ -237,15 +265,9 @@ def load_checkpoint(
             for name, array in state.items()
         }
         model.load_state_dict(state)
-        if "tables/items" in archive.files:
-            model.set_top_neighbours(
-                TopNeighbours(
-                    items=archive["tables/items"],
-                    item_mask=archive["tables/item_mask"],
-                    friends=archive["tables/friends"],
-                    friend_mask=archive["tables/friend_mask"],
-                )
-            )
+        tables = top_neighbours_from(archive)
+        if tables is not None:
+            model.set_top_neighbours(tables)
         training_state = None
         if "__train_meta__" in archive.files:
             meta = json.loads(str(archive["__train_meta__"]))
@@ -294,7 +316,7 @@ def checkpoint_info(path: PathLike) -> Tuple[GroupSAConfig, int, int]:
     with np.load(_normalize_path(path), allow_pickle=False) as archive:
         _check_version(archive)
         return (
-            _decode_config(str(archive["__config__"])),
+            decode_config(str(archive["__config__"])),
             int(archive["__num_users__"]),
             int(archive["__num_items__"]),
         )

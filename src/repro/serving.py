@@ -155,12 +155,7 @@ class RecommendationService:
             )
         return self.router
 
-    def apply_model(
-        self,
-        model: GroupSA,
-        version: int,
-        ann_index=None,
-    ) -> int:
+    def apply_model(self, model: GroupSA, version: int) -> int:
         """Hot-swap the service onto ``model`` at ``version``.
 
         Propagates the swap through whichever execution mode is live:
@@ -183,7 +178,7 @@ class RecommendationService:
             if self.router is not None:
                 self.router.swap_model(model, version=version)
             if self.engine is not None:
-                self.engine.swap_model(model, version=version, ann_index=ann_index)
+                self.engine.swap_model(model, version=version)
             self.model = model
             self._scorer = scorer
             self.model_version = version
@@ -289,7 +284,7 @@ class RecommendationService:
         if self.router is not None:
             return self.router.topk(kind, arg, k)
         if self.engine is not None:
-            return self.engine.topk(kind, arg, k, versioned=True)
+            return self.engine.topk(kind, arg, k, versioned=True, adhoc=adhoc)
         scorer = self._scorer  # one read: list and version from one model
         with span("direct.score"):
             return scorer.rank(kind, arg, k, adhoc=adhoc) + (scorer.version,)

@@ -17,10 +17,10 @@ each stage-2 group epoch (together with its interleaved user epoch).
 
 from __future__ import annotations
 
-import os
 import re
 import shutil
-import tempfile
+import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -29,6 +29,7 @@ from repro.core.groupsa import GroupSA
 from repro.persistence import (
     PathLike,
     TrainingState,
+    atomic_write,
     checkpoint_metadata,
     load_checkpoint,
     save_checkpoint,
@@ -76,7 +77,16 @@ class CheckpointManager:
         self._best_value: Optional[float] = None
         best = self.best_path()
         if best is not None:
-            self._best_value = checkpoint_metadata(best).get("metric")
+            # A mirror, never the only copy: unreadable means absent, and
+            # the next improving save rewrites it.
+            try:
+                self._best_value = checkpoint_metadata(best).get("metric")
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as error:
+                warnings.warn(
+                    f"ignoring unreadable best-checkpoint mirror {best}: {error!r}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
     # ------------------------------------------------------------------
     # Queries
@@ -146,17 +156,11 @@ class CheckpointManager:
         return metric > self._best_value
 
     def _mirror_best(self, source: Path) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".best.", suffix=".tmp"
-        )
-        os.close(fd)
-        try:
-            shutil.copyfile(source, tmp_name)
-            os.replace(tmp_name, self.directory / BEST_CHECKPOINT_NAME)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        with open(source, "rb") as archive:
+            atomic_write(
+                self.directory / BEST_CHECKPOINT_NAME,
+                lambda handle: shutil.copyfileobj(archive, handle),
+            )
 
     def _prune(self) -> None:
         existing = self.checkpoints()

@@ -94,7 +94,6 @@ class TestRequestSpanTrees:
         spans = spans_by_name(tracer.traces()[result.trace_id])
         assert spans["service.recommend_for_members"][0].attrs["member_count"] == 3
         assert spans["engine.submit"][0].attrs["kind"] == "adhoc"
-        assert spans["adhoc_cache.lookup"][0].attrs["hit"] is False
         assert "forward" in spans
 
     def test_batch_execute_carries_batch_attributes(self, traced_service):

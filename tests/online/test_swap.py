@@ -9,6 +9,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core import GroupSA
 from repro.obs.metrics_registry import MetricsRegistry
+from repro.online import swap as swap_module
 from repro.online import (
     LATEST_NAME,
     ModelSwapper,
@@ -55,6 +56,31 @@ def _feed(trainer, dataset, count, seed):
         dataset, count, rng=np.random.default_rng(seed)
     ):
         trainer.ingest(event)
+
+
+def _counted_once_then_skipped(swapper, failure, raising, service, serving, monkeypatch):
+    """The version ``LATEST`` names cannot be served.  The first poll
+    raises and counts it; after that it is not even read, the old version
+    answers, and the first newer publish is applied.  Returns the list
+    the later loads are recorded in."""
+    with raising:
+        swapper.check_once()
+    assert swapper.registry.counter(failure).value == 1
+    loads = []
+
+    def recording_load(path, *args, **kwargs):
+        loads.append(path)
+        return load_checkpoint(path, *args, **kwargs)
+
+    monkeypatch.setattr(swap_module, "load_checkpoint", recording_load)
+    for __ in range(10):
+        assert swapper.check_once() is None
+    assert loads == []
+    assert swapper.registry.counter(failure).value == 1
+    assert swapper.registry.counter("swap.applied").value == 0
+    assert service.model_version == serving
+    assert service.recommend_for_user(3, k=5).model_version == serving
+    return loads
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +136,28 @@ class TestCheckOnce:
             assert swapper.check_once() is None  # no crash, no swap
             assert registry.counter("swap.pruned_misses").value == 1
             assert service.model_version == initial.version
+        finally:
+            service.close()
+
+    def test_poisoned_snapshot_is_opened_once(
+        self, tiny_split, dataset, tmp_path, monkeypatch
+    ):
+        trainer = _trainer(tiny_split, dataset, tmp_path / "snap")
+        trainer.publish()
+        service, initial = _service_at(tmp_path / "snap", dataset)
+        try:
+            _feed(trainer, dataset, 20, seed=1)
+            trainer.publish().path.write_bytes(b"garbage under LATEST")
+            swapper = ModelSwapper(service, tmp_path / "snap")
+            loads = _counted_once_then_skipped(
+                swapper, "swap.load_failures", pytest.raises(ValueError), service,
+                initial.version, monkeypatch,
+            )
+            _feed(trainer, dataset, 20, seed=2)
+            good = trainer.publish()
+            assert swapper.check_once() == good
+            assert loads == [good.path]
+            assert service.recommend_for_user(3, k=5).model_version == good.version
         finally:
             service.close()
 
@@ -250,22 +298,26 @@ class TestWrongSizeSwap:
         with pytest.raises(ValueError, match="entity counts"):
             RecommendationService(model=self._wrong(dataset, -5), dataset=dataset)
 
-    def test_model_swapper_counts_the_rejection(self, tiny_split, dataset, tmp_path):
+    def test_model_swapper_counts_the_rejection(
+        self, tiny_split, dataset, tmp_path, monkeypatch
+    ):
         trainer = _trainer(tiny_split, dataset, tmp_path / "snap")
         trainer.publish()
         service, initial = _service_at(tmp_path / "snap", dataset)
         try:
             before = service.recommend_for_user(3, k=5)
-            SnapshotPublisher(tmp_path / "snap").publish(self._wrong(dataset, -5))
-            registry = MetricsRegistry()
-            swapper = ModelSwapper(service, tmp_path / "snap", registry=registry)
-            with pytest.raises(ValueError, match="entity counts"):
-                swapper.check_once()
-            assert registry.counter("swap.apply_failures").value == 1
-            assert registry.counter("swap.applied").value == 0
-            assert service.model_version == initial.version
-            after = service.recommend_for_user(3, k=5)
-            assert after.items == before.items
-            assert after.model_version == initial.version
+            publisher = SnapshotPublisher(tmp_path / "snap")
+            publisher.publish(self._wrong(dataset, -5))
+            swapper = ModelSwapper(service, tmp_path / "snap")
+            loads = _counted_once_then_skipped(
+                swapper, "swap.apply_failures",
+                pytest.raises(ValueError, match="entity counts"),
+                service, initial.version, monkeypatch,
+            )
+            assert service.recommend_for_user(3, k=5).items == before.items
+            good = publisher.publish(service.model)
+            assert swapper.check_once() == good
+            assert loads == [good.path]
+            assert service.model_version == good.version
         finally:
             service.close()

@@ -6,8 +6,16 @@ import pytest
 from repro.persistence import checkpoint_metadata
 from repro.training import CheckpointManager, GroupSATrainer, TrainingConfig
 from repro.training.checkpointing import SchedulePosition
-from repro.training.two_stage import build_model
+from repro.training.two_stage import build_model, fit_groupsa
 from tests.conftest import TINY_MODEL_CONFIG
+from tests.training.test_fault_tolerance import (
+    TRAINING,
+    Killed,
+    _assert_bit_exact,
+    _crash_after,
+    _resume_and_finish,
+    _uninterrupted_weights,
+)
 
 
 @pytest.fixture
@@ -64,6 +72,38 @@ class TestRetention:
         assert manager.load_latest() is None
         assert manager.latest_path() is None
         assert manager.best_path() is None
+
+
+class TestUnreadableBestMirror:
+    """``best.npz`` is a mirror: a power loss may leave it empty or cut
+    short while every numbered checkpoint is intact."""
+
+    @pytest.mark.parametrize("keep", [0, 0.5], ids=["zero-length", "truncated"])
+    def test_warned_treated_as_absent_and_resume_proceeds(
+        self, tiny_split, tmp_path, keep
+    ):
+        reference = _uninterrupted_weights(tiny_split)
+        model, batcher = build_model(tiny_split, TINY_MODEL_CONFIG)
+        with pytest.raises(Killed):
+            fit_groupsa(
+                model, tiny_split, batcher, TRAINING,
+                callback=_crash_after("group", 3),
+                checkpoint_dir=tmp_path,
+            )
+        best = tmp_path / "best.npz"
+        intact = best.read_bytes()
+        best.write_bytes(intact[: int(len(intact) * keep)])
+
+        with pytest.warns(RuntimeWarning, match="best.npz"):
+            manager = CheckpointManager(tmp_path)
+        assert manager.best_value is None
+        assert manager.latest_path() is not None
+
+        with pytest.warns(RuntimeWarning, match="best.npz"):
+            resumed, __ = _resume_and_finish(tiny_split, tmp_path)
+        _assert_bit_exact(resumed.state_dict(), reference)
+        # The next improving save rewrote the mirror.
+        assert CheckpointManager(tmp_path).best_value is not None
 
 
 class TestTrainerStateRoundtrip:

@@ -1,12 +1,18 @@
 """Checkpoint format v2: atomic writes, path normalization, forward
 compatibility, v1 back-compat, and error paths."""
 
+import io
 import json
+import os
+import shutil
+import stat
 
 import numpy as np
 import pytest
 
 from repro import persistence
+from repro.cluster.weights import write_model_store
+from repro.online.snapshots import SnapshotPublisher
 from repro.persistence import (
     checkpoint_info,
     checkpoint_metadata,
@@ -16,6 +22,7 @@ from repro.persistence import (
     save_checkpoint,
     save_model,
 )
+from repro.training import CheckpointManager
 
 
 def _rewrite(path, **overrides):
@@ -109,48 +116,123 @@ class TestVersions:
             load_model(path)
 
 
-class TestAtomicWrites:
-    def test_failed_serialization_preserves_existing(
-        self, trained_tiny_model, tmp_path, monkeypatch
-    ):
-        model, __, __h = trained_tiny_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        reference = model.state_dict()
+def _save(model, directory):
+    save_model(model, directory / "model.npz")
 
-        def exploding_savez(handle, **payload):
-            handle.write(b"partial garbage that must never reach the target")
+
+def _mirror(model, directory):
+    manager = CheckpointManager(directory)
+    # Ever better, so every call rewrites the mirror.
+    manager.save(model, metric=-float(manager.next_index))
+
+
+def _publish(model, directory):
+    SnapshotPublisher(directory).publish(model)
+
+
+#: target file -> (what writes it, the serializer its ``write`` calls)
+WRITERS = {
+    "model.npz": (_save, (np, "savez_compressed")),
+    "best.npz": (_mirror, (shutil, "copyfileobj")),
+    "LATEST.json": (_publish, (json, "dump")),
+    "manifest.json": (write_model_store, (json, "dump")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+class TestAtomicWrites:
+    """The four files replaced in place share one durable writer."""
+
+    @pytest.fixture
+    def written(self, name, trained_tiny_model, tmp_path):
+        """(rewrite, target): the target exists, ``rewrite()`` replaces it."""
+        writer = WRITERS[name][0]
+        model = trained_tiny_model[0]
+        writer(model, tmp_path)
+        return (lambda: writer(model, tmp_path)), tmp_path / name
+
+    @staticmethod
+    def _assert_untouched(target, before):
+        assert target.read_bytes() == before
+        # The aborted attempt must not leave temporary files behind.
+        assert [p.name for p in target.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_failed_serialization_preserves_existing(self, name, written, monkeypatch):
+        rewrite, target = written
+        before = target.read_bytes()
+
+        def exploding(*args, **kwargs):
+            handle = next(a for a in args if hasattr(a, "write") and a.writable())
+            garbage = "partial garbage that must never reach the target"
+            handle.write(garbage if isinstance(handle, io.TextIOBase) else garbage.encode())
             raise IOError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", exploding_savez)
+        monkeypatch.setattr(*WRITERS[name][1], exploding)
         with pytest.raises(IOError, match="disk full"):
-            save_model(model, path)
+            rewrite()
         monkeypatch.undo()
-        survivor = load_model(path)
-        for name, weights in survivor.state_dict().items():
-            np.testing.assert_array_equal(weights, reference[name])
-        # The aborted attempt must not leave temporary files behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        self._assert_untouched(target, before)
 
-    def test_failed_replace_preserves_existing(
-        self, trained_tiny_model, tmp_path, monkeypatch
-    ):
-        model, __, __h = trained_tiny_model
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        reference = model.state_dict()
+    def test_failed_replace_preserves_existing(self, name, written, monkeypatch):
+        rewrite, target = written
+        before = target.read_bytes()
+        replace = os.replace
 
         def exploding_replace(src, dst):
+            if os.path.basename(dst) != name:
+                return replace(src, dst)  # e.g. the checkpoint best.npz mirrors
             raise OSError("crash between write and rename")
 
         monkeypatch.setattr(persistence.os, "replace", exploding_replace)
         with pytest.raises(OSError, match="crash between"):
-            save_model(model, path)
+            rewrite()
         monkeypatch.undo()
-        survivor = load_model(path)
-        for name, weights in survivor.state_dict().items():
-            np.testing.assert_array_equal(weights, reference[name])
-        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        self._assert_untouched(target, before)
+
+    def test_file_and_directory_are_synced(self, name, written, monkeypatch):
+        rewrite, target = written
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            return fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(os.path.basename(dst))
+            return replace(src, dst)
+
+        monkeypatch.setattr(persistence.os, "fsync", recording_fsync)
+        monkeypatch.setattr(persistence.os, "replace", recording_replace)
+        rewrite()
+        # The target is the last file each writer puts in place.
+        assert events[-3:] == ["file", name, "dir"]
+        assert events.count(name) == 1
+
+
+class TestOnDiskNames:
+    def test_both_formats_keep_their_names(self, trained_tiny_model, tmp_path):
+        """Files written by an earlier commit load here and the reverse:
+        the names a model is stored under are literals, in both formats."""
+        model = trained_tiny_model[0]
+        assert model.top_neighbours is not None
+        arrays = {f"param/{name}" for name in model.state_dict()} | {
+            "tables/items", "tables/item_mask", "tables/friends", "tables/friend_mask"
+        }
+        assert "param/user_embedding.weight" in arrays
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as archive:
+            assert set(archive.files) == arrays | {
+                "__version__", "__config__", "__num_users__", "__num_items__"
+            }
+            assert int(archive["__version__"]) == 2
+            assert int(archive["__num_users__"]) == model.num_users
+        write_model_store(model, tmp_path / "store")
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+        assert manifest["format"] == "repro.cluster.weights/v1"
+        assert set(manifest["arrays"]) == arrays
+        assert set(manifest["meta"]) == {"config", "num_users", "num_items", "dtype"}
+        assert manifest["meta"]["config"] == str(np.load(tmp_path / "model.npz")["__config__"])
 
 
 class TestTrainingStatePayload:
