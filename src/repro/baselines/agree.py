@@ -13,20 +13,16 @@ information, no user modeling from auxiliary graphs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
-from repro.baselines.base import Recommender
+from repro.baselines.base import NeuralRecommender, score_columns
 from repro.core.prediction import PredictionTower
-from repro.data.loaders import GroupBatcher
-from repro.data.sampling import NegativeSampler, bpr_triple_batches
-from repro.data.splits import DataSplit
+from repro.data.dataset import GroupRecommendationDataset
+from repro.data.loaders import GroupBatch
 from repro.nn import Embedding, Module, PairwiseAttention
-from repro.optim import Adam
-from repro.training.bpr import bpr_loss
 from repro.utils import RngLike, ensure_rng
 
 
@@ -57,26 +53,29 @@ class AGREENetwork(Module):
         )
         self.tower = PredictionTower(embedding_dim, (32,), rng=generator)
 
-    def group_scores(
-        self,
-        group_ids: np.ndarray,
-        members: np.ndarray,
-        mask: np.ndarray,
-        item_ids: np.ndarray,
-    ) -> Tensor:
-        item_emb = self.item_embedding(item_ids)
-        member_emb = self.user_embedding(members)
-        aggregated, __ = self.member_attention(
-            query=item_emb, candidates=member_emb, mask=mask
-        )
-        group_repr = aggregated + self.group_embedding(group_ids)
-        return self.tower(group_repr, item_emb)
+    def group_scores(self, batch: GroupBatch, items: np.ndarray) -> Tensor:
+        members = self.user_embedding(batch.members)
+        group = self.group_embedding(batch.group_ids)
 
-    def user_scores(self, user_ids: np.ndarray, item_ids: np.ndarray) -> Tensor:
-        return self.tower(self.user_embedding(user_ids), self.item_embedding(item_ids))
+        def item_half(column: np.ndarray) -> Tensor:
+            item = self.item_embedding(column)
+            aggregated, __ = self.member_attention(
+                query=item, candidates=members, mask=batch.mask
+            )
+            return self.tower(aggregated + group, item)
+
+        return score_columns(items, len(batch), item_half)
+
+    def user_score_components(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, None]:
+        user = self.user_embedding(users)
+        return score_columns(
+            items, user.shape[0], lambda column: self.tower(user, self.item_embedding(column))
+        ), None
 
 
-class AGREE(Recommender):
+class AGREE(NeuralRecommender):
     """AGREE trained jointly on both tasks with BPR."""
 
     name = "AGREE"
@@ -96,75 +95,12 @@ class AGREE(Recommender):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.seed = seed
-        self._network: Optional[AGREENetwork] = None
-        self._batcher: Optional[GroupBatcher] = None
 
-    def fit(self, split: DataSplit) -> "AGREE":
-        rng = ensure_rng(self.seed)
-        train = split.train
-        network = AGREENetwork(
+    def build_network(self, train: GroupRecommendationDataset) -> AGREENetwork:
+        return AGREENetwork(
             train.num_users,
             train.num_items,
             train.num_groups,
             self.embedding_dim,
-            rng=rng,
+            rng=self.seed,
         )
-        batcher = GroupBatcher(train)
-        optimizer = Adam(
-            network.parameters(), lr=self.learning_rate, weight_decay=self.weight_decay
-        )
-        user_sampler = NegativeSampler(train.user_items(), train.num_items, rng=rng)
-        group_sampler = NegativeSampler(train.group_items(), train.num_items, rng=rng)
-        # AGREE alternates user and group batches each epoch.
-        for __ in range(self.epochs):
-            for users, positives, negatives in bpr_triple_batches(
-                train.user_item, user_sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                loss = bpr_loss(
-                    network.user_scores(users, positives),
-                    network.user_scores(users, negatives),
-                )
-                loss.backward()
-                optimizer.step()
-            for groups, positives, negatives in bpr_triple_batches(
-                train.group_item, group_sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                batch = batcher.batch(groups)
-                positive_scores = network.group_scores(
-                    batch.group_ids, batch.members, batch.mask, positives
-                )
-                negative_scores = network.group_scores(
-                    batch.group_ids, batch.members, batch.mask, negatives
-                )
-                loss = bpr_loss(positive_scores, negative_scores)
-                loss.backward()
-                optimizer.step()
-        self._network = network
-        self._batcher = batcher
-        return self
-
-    def _require(self) -> tuple[AGREENetwork, GroupBatcher]:
-        if self._network is None or self._batcher is None:
-            raise RuntimeError("AGREE.fit() must be called before scoring")
-        return self._network, self._batcher
-
-    def score_user_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network, __ = self._require()
-        network.eval()
-        with no_grad():
-            scores = network.user_scores(users, items).data
-        network.train()
-        return scores
-
-    def score_group_items(self, groups: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network, batcher = self._require()
-        batch = batcher.batch(groups)
-        network.eval()
-        with no_grad():
-            scores = network.group_scores(
-                batch.group_ids, batch.members, batch.mask, items
-            ).data
-        network.train()
-        return scores

@@ -8,19 +8,16 @@ member scores (late aggregation).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
-from repro.baselines.base import Recommender
-from repro.data.sampling import NegativeSampler, bpr_triple_batches
-from repro.data.splits import DataSplit
+from repro.baselines.base import NeuralRecommender, score_columns
+from repro.data.dataset import GroupRecommendationDataset
+from repro.data.loaders import GroupBatch
 from repro.nn import Embedding, Module
 from repro.nn.module import Parameter
-from repro.optim import Adam
-from repro.training.bpr import bpr_loss
 from repro.utils import RngLike, ensure_rng
 
 
@@ -36,17 +33,36 @@ class MFNetwork(Module):
         self.item_factors = Embedding(num_items, dim, weight_init="gaussian", rng=generator)
         self.item_bias = Parameter(np.zeros(num_items))
 
-    def forward(self, users: np.ndarray, items: np.ndarray) -> Tensor:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        interaction = (self.user_factors(users) * self.item_factors(items)).sum(axis=-1)
-        return interaction + self.item_bias[items]
+    def user_score_components(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, None]:
+        user = self.user_factors(users)
+        return score_columns(
+            items,
+            user.shape[0],
+            lambda column: (user * self.item_factors(column)).sum(axis=-1)
+            + self.item_bias[column],
+        ), None
+
+    def group_scores(self, batch: GroupBatch, items: np.ndarray) -> Tensor:
+        """The mean member score over the batch's padded (B, L) members."""
+        members = self.user_factors(batch.members)
+        rows = len(batch)
+        weights = Tensor(batch.mask / batch.mask.sum(axis=1, keepdims=True))
+
+        def item_half(column: np.ndarray) -> Tensor:
+            item = self.item_factors(column).reshape(rows, 1, -1)
+            dots = (members * item).sum(axis=-1)
+            return (dots * weights).sum(axis=1) + self.item_bias[column]
+
+        return score_columns(items, rows, item_half)
 
 
-class BPRMF(Recommender):
+class BPRMF(NeuralRecommender):
     """BPR matrix factorization baseline."""
 
     name = "BPR-MF"
+    trains_group_task = False
 
     def __init__(
         self,
@@ -63,50 +79,6 @@ class BPRMF(Recommender):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.seed = seed
-        self._network: Optional[MFNetwork] = None
-        self._members: Optional[List[np.ndarray]] = None
 
-    def fit(self, split: DataSplit) -> "BPRMF":
-        rng = ensure_rng(self.seed)
-        train = split.train
-        network = MFNetwork(train.num_users, train.num_items, self.dim, rng=rng)
-        optimizer = Adam(
-            network.parameters(), lr=self.learning_rate, weight_decay=self.weight_decay
-        )
-        sampler = NegativeSampler(train.user_items(), train.num_items, rng=rng)
-        for __ in range(self.epochs):
-            for users, positives, negatives in bpr_triple_batches(
-                train.user_item, sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                loss = bpr_loss(network(users, positives), network(users, negatives))
-                loss.backward()
-                optimizer.step()
-        self._network = network
-        self._members = train.group_members
-        return self
-
-    def _require_fit(self) -> MFNetwork:
-        if self._network is None:
-            raise RuntimeError("BPRMF.fit() must be called before scoring")
-        return self._network
-
-    def score_user_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network = self._require_fit()
-        with no_grad():
-            return network(users, items).data
-
-    def score_group_items(self, groups: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network = self._require_fit()
-        assert self._members is not None
-        groups = np.asarray(groups, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        scores = np.empty(len(groups))
-        with no_grad():
-            for position, (group, item) in enumerate(zip(groups, items)):
-                members = self._members[group]
-                member_scores = network(
-                    members, np.full(members.size, item, dtype=np.int64)
-                ).data
-                scores[position] = float(member_scores.mean())
-        return scores
+    def build_network(self, train: GroupRecommendationDataset) -> MFNetwork:
+        return MFNetwork(train.num_users, train.num_items, self.dim, rng=self.seed)

@@ -10,34 +10,38 @@ groups have almost no training interactions to learn embeddings from).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor, concatenate
-from repro.baselines.base import Recommender
-from repro.data.sampling import NegativeSampler, bpr_triple_batches
-from repro.data.splits import DataSplit
+from repro.baselines.base import NeuralRecommender, score_columns
+from repro.data.dataset import GroupRecommendationDataset
+from repro.data.loaders import GroupBatch
 from repro.nn import Embedding, Linear, Module, ModuleList
-from repro.optim import Adam
-from repro.training.bpr import bpr_loss
 from repro.utils import RngLike, ensure_rng
 
 
 class NCFNetwork(Module):
-    """One NCF tower over (entity, item) pairs."""
+    """One NCF tower over (entity, item) pairs.
+
+    The entity space holds ``num_users`` users followed by
+    ``num_groups`` virtual users, one per group.
+    """
 
     def __init__(
         self,
-        num_entities: int,
+        num_users: int,
         num_items: int,
+        num_groups: int,
         embedding_dim: int = 32,
         mlp_hidden: tuple[int, ...] = (32, 16),
         rng: RngLike = None,
     ) -> None:
         super().__init__()
         generator = ensure_rng(rng)
+        num_entities = num_users + num_groups
+        self.group_offset = num_users
         # Separate embedding tables for the GMF and MLP pathways, as in
         # the published architecture.
         self.gmf_entity = Embedding(num_entities, embedding_dim, rng=generator)
@@ -50,17 +54,30 @@ class NCFNetwork(Module):
         )
         self.scorer = Linear(embedding_dim + dims[-1], 1, bias=False, rng=generator)
 
-    def forward(self, entities: np.ndarray, items: np.ndarray) -> Tensor:
-        entities = np.asarray(entities, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        gmf = self.gmf_entity(entities) * self.gmf_item(items)
-        mlp = concatenate([self.mlp_entity(entities), self.mlp_item(items)], axis=-1)
-        for layer in self.mlp_layers:
-            mlp = layer(mlp).relu()
-        return self.scorer(concatenate([gmf, mlp], axis=-1)).reshape(-1)
+    def _scores(self, entities: np.ndarray, items: np.ndarray) -> Tensor:
+        gmf_entity = self.gmf_entity(entities)
+        mlp_entity = self.mlp_entity(entities)
+
+        def item_half(column: np.ndarray) -> Tensor:
+            gmf = gmf_entity * self.gmf_item(column)
+            mlp = concatenate([mlp_entity, self.mlp_item(column)], axis=-1)
+            for layer in self.mlp_layers:
+                mlp = layer.forward_relu(mlp)
+            return self.scorer(concatenate([gmf, mlp], axis=-1)).reshape(-1)
+
+        return score_columns(items, gmf_entity.shape[0], item_half)
+
+    def user_score_components(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, None]:
+        return self._scores(users, items), None
+
+    def group_scores(self, batch: GroupBatch, items: np.ndarray) -> Tensor:
+        """Scores of the groups' virtual users; the members are ignored."""
+        return self._scores(batch.group_ids + self.group_offset, items)
 
 
-class NCF(Recommender):
+class NCF(NeuralRecommender):
     """NCF with groups as virtual users, per the paper's setup.
 
     One tower over an entity space of ``num_users + num_groups``:
@@ -89,51 +106,12 @@ class NCF(Recommender):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.seed = seed
-        self._tower: Optional[NCFNetwork] = None
-        self._group_offset = 0
 
-    def fit(self, split: DataSplit) -> "NCF":
-        rng = ensure_rng(self.seed)
-        train = split.train
-        self._group_offset = train.num_users
-        num_entities = train.num_users + train.num_groups
-
-        # Merge both edge types into one virtual-user edge list.
-        group_edges = train.group_item.copy()
-        if len(group_edges):
-            group_edges[:, 0] += self._group_offset
-        edges = np.concatenate([train.user_item, group_edges])
-        interacted = list(train.user_items()) + list(train.group_items())
-
-        tower = NCFNetwork(num_entities, train.num_items, self.embedding_dim, rng=rng)
-        optimizer = Adam(
-            tower.parameters(), lr=self.learning_rate, weight_decay=self.weight_decay
-        )
-        sampler = NegativeSampler(interacted, train.num_items, rng=rng)
-        for __ in range(self.epochs):
-            for entities, positives, negatives in bpr_triple_batches(
-                edges, sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                loss = bpr_loss(tower(entities, positives), tower(entities, negatives))
-                loss.backward()
-                optimizer.step()
-        self._tower = tower
-        return self
-
-    def _score(self, entities, items) -> np.ndarray:
-        if self._tower is None:
-            raise RuntimeError("NCF.fit() must be called before scoring")
-        self._tower.eval()
-        with no_grad():
-            scores = self._tower(entities, items).data
-        self._tower.train()
-        return scores
-
-    def score_user_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return self._score(np.asarray(users, dtype=np.int64), items)
-
-    def score_group_items(self, groups: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return self._score(
-            np.asarray(groups, dtype=np.int64) + self._group_offset, items
+    def build_network(self, train: GroupRecommendationDataset) -> NCFNetwork:
+        return NCFNetwork(
+            train.num_users,
+            train.num_items,
+            train.num_groups,
+            self.embedding_dim,
+            rng=self.seed,
         )

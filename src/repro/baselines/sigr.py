@@ -20,23 +20,20 @@ paper's comparison isolates — is any modeling of member *interactions*
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
-from repro.baselines.base import Recommender
+from repro.baselines.base import NeuralRecommender, score_columns
 from repro.core.prediction import PredictionTower
-from repro.data.loaders import GroupBatcher
-from repro.data.sampling import NegativeSampler, bpr_triple_batches
-from repro.data.splits import DataSplit
+from repro.data.dataset import GroupRecommendationDataset
+from repro.data.loaders import GroupBatch
 from repro.graphs.bipartite import interaction_matrix, normalized_propagation
 from repro.graphs.closeness import _pagerank
 from repro.graphs.social import social_adjacency
 from repro.nn import Embedding, Linear, Module, PairwiseAttention
-from repro.optim import Adam
-from repro.training.bpr import bpr_loss
+from repro.nn.attention import MASK_VALUE
 from repro.utils import RngLike, ensure_rng
 
 
@@ -87,40 +84,35 @@ class SIGRNetwork(Module):
             propagated = propagated.reshape(*user_ids.shape, -1)
         return own * (1.0 - self.propagation_mix) + propagated * self.propagation_mix
 
-    def member_logits(
-        self, item_emb: Tensor, member_emb: Tensor, members: np.ndarray
-    ) -> Tensor:
-        attention = self.member_attention.logits(item_emb, member_emb)
-        centrality = self._centrality[members][..., None]  # (B, L, 1)
-        batch, length = members.shape
-        influence = self.influence(Tensor(centrality)).reshape(batch, length)
-        return attention + influence
+    def group_scores(self, batch: GroupBatch, items: np.ndarray) -> Tensor:
+        members = self.enhanced_user_embeddings(batch.members)
+        rows, length = batch.members.shape
+        # Each member's attention logit adds a learned transform of its
+        # global centrality (the social-influence component).
+        centrality = Tensor(self._centrality[batch.members][..., None])
+        influence = self.influence(centrality).reshape(rows, length)
+        bias = Tensor(np.where(batch.mask, 0.0, MASK_VALUE))
+        group = self.group_embedding(batch.group_ids)
 
-    def group_scores(
-        self,
-        group_ids: np.ndarray,
-        members: np.ndarray,
-        mask: np.ndarray,
-        item_ids: np.ndarray,
-    ) -> Tensor:
-        from repro.nn.attention import MASK_VALUE
+        def item_half(column: np.ndarray) -> Tensor:
+            item = self.item_embedding(column)
+            logits = self.member_attention.logits(item, members) + influence
+            weights = (logits + bias).softmax(axis=-1)
+            aggregated = (weights.reshape(rows, length, 1) * members).sum(axis=1)
+            return self.tower(aggregated + group, item)
 
-        item_emb = self.item_embedding(item_ids)
-        member_emb = self.enhanced_user_embeddings(members)
-        logits = self.member_logits(item_emb, member_emb, members)
-        bias = np.where(mask, 0.0, MASK_VALUE)
-        weights = (logits + Tensor(bias)).softmax(axis=-1)
-        batch, length = members.shape
-        aggregated = (weights.reshape(batch, length, 1) * member_emb).sum(axis=1)
-        group_repr = aggregated + self.group_embedding(group_ids)
-        return self.tower(group_repr, item_emb)
+        return score_columns(items, rows, item_half)
 
-    def user_scores(self, user_ids: np.ndarray, item_ids: np.ndarray) -> Tensor:
-        user_emb = self.enhanced_user_embeddings(user_ids)
-        return self.tower(user_emb, self.item_embedding(item_ids))
+    def user_score_components(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, None]:
+        user = self.enhanced_user_embeddings(users)
+        return score_columns(
+            items, user.shape[0], lambda column: self.tower(user, self.item_embedding(column))
+        ), None
 
 
-class SIGR(Recommender):
+class SIGR(NeuralRecommender):
     """SIGR trained jointly on both tasks with BPR."""
 
     name = "SIGR"
@@ -142,76 +134,16 @@ class SIGR(Recommender):
         self.weight_decay = weight_decay
         self.propagation_mix = propagation_mix
         self.seed = seed
-        self._network: Optional[SIGRNetwork] = None
-        self._batcher: Optional[GroupBatcher] = None
 
-    def fit(self, split: DataSplit) -> "SIGR":
-        rng = ensure_rng(self.seed)
-        train = split.train
+    def build_network(self, train: GroupRecommendationDataset) -> SIGRNetwork:
         user_to_item, __ = normalized_propagation(interaction_matrix(train))
-        centrality = _pagerank(social_adjacency(train))
-        network = SIGRNetwork(
+        return SIGRNetwork(
             train.num_users,
             train.num_items,
             train.num_groups,
             user_to_item,
-            centrality,
+            _pagerank(social_adjacency(train)),
             self.embedding_dim,
             propagation_mix=self.propagation_mix,
-            rng=rng,
+            rng=self.seed,
         )
-        batcher = GroupBatcher(train)
-        optimizer = Adam(
-            network.parameters(), lr=self.learning_rate, weight_decay=self.weight_decay
-        )
-        user_sampler = NegativeSampler(train.user_items(), train.num_items, rng=rng)
-        group_sampler = NegativeSampler(train.group_items(), train.num_items, rng=rng)
-        for __ in range(self.epochs):
-            for users, positives, negatives in bpr_triple_batches(
-                train.user_item, user_sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                loss = bpr_loss(
-                    network.user_scores(users, positives),
-                    network.user_scores(users, negatives),
-                )
-                loss.backward()
-                optimizer.step()
-            for groups, positives, negatives in bpr_triple_batches(
-                train.group_item, group_sampler, self.batch_size, rng=rng
-            ):
-                optimizer.zero_grad()
-                batch = batcher.batch(groups)
-                loss = bpr_loss(
-                    network.group_scores(batch.group_ids, batch.members, batch.mask, positives),
-                    network.group_scores(batch.group_ids, batch.members, batch.mask, negatives),
-                )
-                loss.backward()
-                optimizer.step()
-        self._network = network
-        self._batcher = batcher
-        return self
-
-    def _require(self) -> tuple[SIGRNetwork, GroupBatcher]:
-        if self._network is None or self._batcher is None:
-            raise RuntimeError("SIGR.fit() must be called before scoring")
-        return self._network, self._batcher
-
-    def score_user_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network, __ = self._require()
-        network.eval()
-        with no_grad():
-            scores = network.user_scores(users, items).data
-        network.train()
-        return scores
-
-    def score_group_items(self, groups: np.ndarray, items: np.ndarray) -> np.ndarray:
-        network, batcher = self._require()
-        batch = batcher.batch(groups)
-        network.eval()
-        with no_grad():
-            scores = network.group_scores(
-                batch.group_ids, batch.members, batch.mask, items
-            ).data
-        network.train()
-        return scores

@@ -13,10 +13,10 @@ from typing import List, Optional
 
 from repro.core.config import GroupSAConfig
 from repro.data.splits import DataSplit
-from repro.evaluation.protocol import evaluate
 from repro.experiments.runner import ExperimentBudget, PAPER_BUDGET, prepare_run
-from repro.training.trainer import GroupSATrainer, TrainingConfig
-from repro.training.two_stage import build_model
+from repro.training.early_stopping import ValidationMonitor
+from repro.training.trainer import TrainingConfig
+from repro.training.two_stage import build_model, fit_groupsa
 from repro.tuning import validation_task
 
 
@@ -54,52 +54,37 @@ def trace_convergence(
     check_every: int = 5,
     num_candidates: int = 100,
 ) -> ConvergenceCurve:
-    """Train with the two-stage schedule, recording a curve."""
+    """Train with the two-stage schedule, recording a curve.
+
+    One point per stage-1 user epoch and per group epoch, each with its
+    ``EpochLog`` loss; interleaved user epochs are not points.  Every
+    ``check_every``-th group point also carries the validation HR@10
+    taken at the end of its resume unit, when the split has validation
+    group interactions.
+    """
+    if check_every < 1:
+        raise ValueError(f"check_every must be at least 1, got {check_every}")
     model, batcher = build_model(split, model_config)
-    trainer = GroupSATrainer(model, split, batcher, training)
-    task = (
-        validation_task(split, num_candidates=num_candidates)
-        if len(split.validation.group_item)
-        else None
-    )
-    points: List[ConvergencePoint] = []
-
-    def validation_value() -> Optional[float]:
-        if task is None:
-            return None
-        return evaluate(
-            lambda groups, items: model.score_group_items(batcher.batch(groups), items),
-            task,
-        ).metrics["HR@10"]
-
-    if model.config.use_user_task:
-        for epoch in range(1, training.user_epochs + 1):
-            trainer.train_user_task(epochs=1)
-            points.append(
-                ConvergencePoint(
-                    stage="user",
-                    epoch=epoch,
-                    loss=trainer.history.final_loss("user"),
-                    validation_hr10=None,
-                )
-            )
-        if training.init_group_tower_from_user:
-            model.group_tower.load_state_dict(model.user_tower.state_dict())
-
-    interleave = training.interleave_user_every if model.config.use_user_task else 0
-    for epoch in range(1, training.group_epochs + 1):
-        trainer.train_group_task(epochs=1)
-        if interleave and epoch % interleave == 0:
-            trainer.train_user_task(epochs=1)
-        validation = validation_value() if epoch % check_every == 0 else None
-        points.append(
-            ConvergencePoint(
-                stage="group",
-                epoch=epoch,
-                loss=trainer.history.final_loss("group"),
-                validation_hr10=validation,
-            )
+    monitor = None
+    if len(split.validation.group_item):
+        # More patience than stage 2 has checks: the monitor only records.
+        monitor = ValidationMonitor(
+            model=model,
+            batcher=batcher,
+            task=validation_task(split, num_candidates=num_candidates),
+            patience=training.group_epochs + 1,
+            check_every=check_every,
         )
+    history = fit_groupsa(model, split, batcher, training, callback=monitor)
+    checks = iter(monitor.history if monitor is not None else ())
+    points: List[ConvergencePoint] = []
+    for log in history.epochs:
+        if log.task == "group":
+            validation = next(checks, None) if log.epoch % check_every == 0 else None
+            points.append(ConvergencePoint("group", log.epoch, log.loss, validation))
+        elif log.epoch <= training.user_epochs:
+            # Stage 1; the interleaved replays continue its epoch count.
+            points.append(ConvergencePoint("user", log.epoch, log.loss, None))
     return ConvergenceCurve(points=points)
 
 

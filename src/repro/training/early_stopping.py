@@ -8,6 +8,7 @@ has not improved for ``patience`` checks.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -17,24 +18,50 @@ from repro.core.groupsa import GroupSA
 from repro.data.loaders import GroupBatcher
 from repro.data.splits import DataSplit
 from repro.evaluation.protocol import EvaluationTask, evaluate
-from repro.training.callbacks import History
-from repro.training.trainer import GroupSATrainer, TrainingConfig
+from repro.training.callbacks import EpochLog, History
+from repro.training.trainer import TrainingConfig
+from repro.training.two_stage import fit_groupsa
 from repro.tuning import validation_task
 
 
 @dataclass
 class ValidationMonitor:
-    """Track a validation metric; remember and restore the best state."""
+    """Track a validation metric; remember and restore the best state.
+
+    Also a :func:`~repro.training.two_stage.fit_groupsa` callback: it
+    counts the group epochs it is shown, and its :meth:`should_stop`,
+    polled once at the end of every resume unit, runs :meth:`check`
+    after every ``check_every``-th group epoch.
+    """
 
     model: GroupSA
     batcher: GroupBatcher
     task: EvaluationTask
     metric: str = "HR@10"
     patience: int = 3
+    check_every: int = 1
     best_value: float = -np.inf
     checks_since_best: int = 0
     history: List[float] = field(default_factory=list)
     _best_state: Optional[Dict[str, np.ndarray]] = None
+    _group_epochs: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
+
+    def __call__(self, log: EpochLog) -> None:
+        if log.task == "group":
+            self._group_epochs += 1
+
+    def should_stop(self) -> bool:
+        """Check when a ``check_every``-th group epoch just ended; True
+        once the metric has not improved for ``patience`` checks."""
+        if self._group_epochs == 0 or self._group_epochs % self.check_every:
+            return False
+        return self.check()
 
     def check(self) -> bool:
         """Evaluate once; return True when training should stop."""
@@ -73,35 +100,34 @@ def fit_with_early_stopping(
 ) -> tuple[History, ValidationMonitor]:
     """Two-stage training with validation-based early stopping.
 
-    Stage 1 (user task) runs as configured; stage 2 checks the
-    validation group metric every ``check_every`` epochs and stops when
-    it plateaus, restoring the best checkpoint.
+    :func:`fit_groupsa` runs the schedule with a
+    :class:`ValidationMonitor` as its callback: stage 2 checks the
+    validation group metric every ``check_every`` epochs, for at most
+    ``max_group_epochs`` (default ``10 * group_epochs``), and stops when
+    it plateaus; the best weights are then restored.
     """
     if len(split.validation.group_item) == 0:
         raise ValueError(
             "early stopping needs validation group interactions; use a "
             "non-zero validation_fraction when splitting"
         )
-    trainer = GroupSATrainer(model, split, batcher, training)
-    if model.config.use_user_task:
-        trainer.train_user_task()
-        if training.init_group_tower_from_user:
-            model.group_tower.load_state_dict(model.user_tower.state_dict())
-
+    if max_group_epochs is not None and max_group_epochs < 1:
+        raise ValueError(f"max_group_epochs must be at least 1, got {max_group_epochs}")
     monitor = ValidationMonitor(
         model=model,
         batcher=batcher,
         task=validation_task(split, num_candidates=num_candidates),
         metric=metric,
         patience=patience,
+        check_every=check_every,
     )
-    limit = max_group_epochs or 10 * training.group_epochs
-    interleave = training.interleave_user_every if model.config.use_user_task else 0
-    for epoch in range(limit):
-        trainer.train_group_task(epochs=1)
-        if interleave and (epoch + 1) % interleave == 0:
-            trainer.train_user_task(epochs=1)
-        if (epoch + 1) % check_every == 0 and monitor.check():
-            break
+    limit = 10 * training.group_epochs if max_group_epochs is None else max_group_epochs
+    history = fit_groupsa(
+        model,
+        split,
+        batcher,
+        dataclasses.replace(training, group_epochs=limit),
+        callback=monitor,
+    )
     monitor.restore_best()
-    return trainer.history, monitor
+    return history, monitor

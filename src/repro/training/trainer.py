@@ -6,21 +6,44 @@ import copy
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.autograd.context import fused_ops as fused_ops_context
 from repro.autograd.context import sparse_grads as sparse_grads_context
-from repro.core.groupsa import GroupSA
-from repro.data.loaders import GroupBatcher
+from repro.autograd.tensor import Tensor
+from repro.data.loaders import GroupBatch, GroupBatcher
 from repro.data.sampling import NegativeSampler, bpr_triple_batches
 from repro.data.splits import DataSplit
 from repro.nn.dropout import Dropout
+from repro.nn.module import Parameter
 from repro.optim import Adam, SGD, Optimizer, clip_grad_norm
 from repro.training.bpr import bpr_accuracy, bpr_loss
 from repro.training.callbacks import EpochLog, History, ProgressCallback
 from repro.utils import ensure_rng
+
+
+class BPRModel(Protocol):
+    """What one training step needs of a model.
+
+    ``items`` is (B, C): the step passes C = 2 columns, the positive and
+    the sampled negative, and a model runs its entity half once per row
+    for all of them.  GroupSA and the four neural baselines implement
+    it; all five are ``nn.Module`` trees, which the trainer also walks
+    for dropout generators and the gradient monitor.
+    """
+
+    def user_score_components(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, Optional[Tensor]]:
+        """Scores of ``items.shape``, plus an auxiliary score or None."""
+
+    def group_scores(self, batch: GroupBatch, items: np.ndarray) -> Tensor:
+        """Scores of ``items.shape`` for the batch's groups."""
+
+    def parameters(self) -> Iterator[Parameter]:
+        """The weights the optimizer updates."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +87,7 @@ class TrainingConfig:
     #: reference; disable to force the unfused path.
     fused_ops: bool = True
 
-    def build_optimizer(self, model: GroupSA) -> Optimizer:
+    def build_optimizer(self, model: BPRModel) -> Optimizer:
         if self.optimizer == "adam":
             return Adam(
                 model.parameters(),
@@ -81,7 +104,8 @@ class TrainingConfig:
 
 
 class GroupSATrainer:
-    """Runs the paper's two tasks over one model.
+    """Runs the paper's two tasks over one model — the one BPR loop that
+    GroupSA and every neural baseline train through.
 
     The trainer owns the negative samplers (built from the *training*
     interactions only) and the optimizer; stage orchestration lives in
@@ -90,7 +114,7 @@ class GroupSATrainer:
 
     def __init__(
         self,
-        model: GroupSA,
+        model: BPRModel,
         split: DataSplit,
         batcher: GroupBatcher,
         config: TrainingConfig = TrainingConfig(),

@@ -106,6 +106,12 @@ def fit_groupsa(
     first epoch, and ``grad_monitor`` (a
     :class:`repro.obs.GradientHealthMonitor`) checks gradients after
     every backward pass.  Neither perturbs training.
+
+    A ``callback`` exposing a ``should_stop`` method (such as
+    :class:`repro.training.early_stopping.ValidationMonitor`) is polled
+    once at the end of every resume unit — a user epoch in stage 1, a
+    group epoch plus its interleaved user epoch in stage 2 — and a True
+    ends the run there, with that unit's checkpoint written.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -139,16 +145,22 @@ def fit_groupsa(
             metric=group_losses[-1] if group_losses else None,
         )
 
+    should_stop = getattr(callback, "should_stop", None)
+
+    def end_unit(done: int, total: int) -> bool:
+        """Poll the stop hook, then checkpoint if due or stopping; True ends the run."""
+        stop = callable(should_stop) and bool(should_stop())
+        if manager is not None and (done % checkpoint_every == 0 or done == total or stop):
+            save()
+        return stop
+
     uses_user_task = model.config.use_user_task
     if uses_user_task:
         while position.user_epochs_done < training.user_epochs:
             trainer.train_user_task(epochs=1, callback=callback)
             position.user_epochs_done += 1
-            if manager is not None and (
-                position.user_epochs_done % checkpoint_every == 0
-                or position.user_epochs_done == training.user_epochs
-            ):
-                save()
+            if end_unit(position.user_epochs_done, training.user_epochs):
+                return trainer.history
         if training.init_group_tower_from_user and not position.tower_initialized:
             model.group_tower.load_state_dict(model.user_tower.state_dict())
             position.tower_initialized = True
@@ -162,11 +174,8 @@ def fit_groupsa(
         if interleave and (position.group_epochs_done + 1) % interleave == 0:
             trainer.train_user_task(epochs=1, callback=callback)
         position.group_epochs_done += 1
-        if manager is not None and (
-            position.group_epochs_done % checkpoint_every == 0
-            or position.group_epochs_done == training.group_epochs
-        ):
-            save()
+        if end_unit(position.group_epochs_done, training.group_epochs):
+            break
     return trainer.history
 
 

@@ -75,6 +75,24 @@ class TestBPRMF:
         group_score = fitted.score_group_items(np.array([group]), np.array([item]))[0]
         assert group_score == pytest.approx(member_scores.mean())
 
+        # Every training group against 5 items, in one call, against a
+        # reference written member by member from the factors.
+        train = tiny_split.train
+        network = fitted._network
+        users = network.user_factors.weight.data
+        items = network.item_factors.weight.data
+        bias = network.item_bias.data
+        groups = np.repeat(np.arange(train.num_groups), 5)
+        candidates = np.random.default_rng(3).integers(0, train.num_items, groups.size)
+        expected = []
+        for group_id, item_id in zip(groups, candidates):
+            per_member = [
+                float(users[member] @ items[item_id] + bias[item_id])
+                for member in train.group_members[group_id]
+            ]
+            expected.append(sum(per_member) / len(per_member))
+        assert fitted.score_group_items(groups, candidates) == pytest.approx(expected)
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             BPRMF().score_user_items(np.array([0]), np.array([0]))

@@ -3,8 +3,9 @@
 ``training`` is a plain attribute every thread holding the model
 reads mid-forward, so ``score_*_items`` / ``member_attention`` and
 ``analysis.voting_rounds_trace`` switch dropout off through the
-thread-local ``inference_mode()`` instead of ``eval()`` ... ``train()``.
-Also here: their empty-input contract.
+thread-local ``inference_mode()`` instead of ``eval()`` ... ``train()``;
+so do the neural baselines' ``score_*_items``.  Also here: their
+empty-input contract.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 
 from repro.analysis import voting_rounds_trace
 from repro.autograd import is_grad_enabled, is_inference
+from repro.baselines import AGREE, NCF, SIGR
 from repro.core import GroupSA
 from repro.core.prediction import PredictionTower
 from repro.data import GroupBatcher
@@ -38,6 +40,14 @@ def batcher(tiny_split):
     return GroupBatcher(tiny_split.train)
 
 
+@pytest.fixture(scope="module")
+def baselines(tiny_split):
+    return {
+        cls.__name__: cls(embedding_dim=8, epochs=1, batch_size=64, seed=0).fit(tiny_split)
+        for cls in (NCF, AGREE, SIGR)
+    }
+
+
 def flags(model):
     return [module.training for module in model.modules()]
 
@@ -50,32 +60,57 @@ def call_all(model, batcher):
     voting_rounds_trace(model, batcher.batch([2]))
 
 
+def raising_calls(model, batcher):
+    bad = np.array([model.num_items])
+    strangers = np.full_like(batcher.batch([2]).members, model.num_users)
+    return (
+        lambda: model.score_user_items(np.array([0]), bad),
+        lambda: model.score_group_items(batcher.batch([2]), bad),
+        lambda: model.member_attention(batcher.batch([2]), bad),
+        lambda: voting_rounds_trace(
+            model, dataclasses.replace(batcher.batch([2]), members=strangers)
+        ),
+    )
+
+
+@pytest.fixture(params=["GroupSA", "NCF", "AGREE", "SIGR"])
+def scorer(request, model, batcher, baselines, tiny_split):
+    """(module tree, a call of every scoring path, calls that raise)."""
+    if request.param == "GroupSA":
+        return model, lambda: call_all(model, batcher), raising_calls(model, batcher)
+    fitted = baselines[request.param]
+    items = np.arange(10)
+    bad = np.array([tiny_split.train.num_items])
+
+    def score():
+        fitted.score_user_items(np.full(10, 3), items)
+        fitted.score_group_items(np.full(10, 2), items)
+
+    return fitted._network, score, (
+        lambda: fitted.score_user_items(np.array([0]), bad),
+        lambda: fitted.score_group_items(np.array([2]), bad),
+    )
+
+
 class TestModeFlag:
     @pytest.mark.parametrize("training", [True, False])
-    def test_preserved(self, model, batcher, training):
-        model.train(training)
-        before = flags(model)
+    def test_preserved(self, scorer, training):
+        root, score, __ = scorer
+        root.train(training)
+        before = flags(root)
         assert set(before) == {training}
-        call_all(model, batcher)
-        assert flags(model) == before
+        score()
+        assert flags(root) == before
 
     @pytest.mark.parametrize("training", [True, False])
-    def test_restored_after_a_raising_call(self, model, batcher, training):
-        model.train(training)
-        before = flags(model)
-        bad = np.array([model.num_items])
-        with pytest.raises(IndexError):
-            model.score_user_items(np.array([0]), bad)
-        with pytest.raises(IndexError):
-            model.score_group_items(batcher.batch([2]), bad)
-        with pytest.raises(IndexError):
-            model.member_attention(batcher.batch([2]), bad)
-        strangers = np.full_like(batcher.batch([2]).members, model.num_users)
-        with pytest.raises(IndexError):
-            voting_rounds_trace(
-                model, dataclasses.replace(batcher.batch([2]), members=strangers)
-            )
-        assert flags(model) == before
+    def test_restored_after_a_raising_call(self, scorer, training):
+        root, __, raising = scorer
+        root.train(training)
+        before = flags(root)
+        for call in raising:
+            with pytest.raises(IndexError):
+                call()
+        assert flags(root) == before
         assert not is_inference() and is_grad_enabled()
 
     def test_scores_do_not_depend_on_the_flag(self, model, batcher):

@@ -49,3 +49,16 @@ class TestConvergence:
         )
         assert curve.losses("user") == []
         assert len(curve.losses("group")) == 2
+
+    def test_check_every_zero_raises_before_any_epoch(self, tiny_split, monkeypatch):
+        from repro.training.trainer import GroupSATrainer
+
+        def trained(*args, **kwargs):
+            raise AssertionError("an epoch ran before the arguments were checked")
+
+        monkeypatch.setattr(GroupSATrainer, "_run_epoch", trained)
+        training = TrainingConfig(user_epochs=1, group_epochs=1, batch_size=64, seed=0)
+        with pytest.raises(ValueError, match="check_every"):
+            trace_convergence(
+                tiny_split, TINY_MODEL_CONFIG, training, check_every=0, num_candidates=10
+            )

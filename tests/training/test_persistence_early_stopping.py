@@ -143,3 +143,22 @@ class TestEarlyStopping:
         model, batcher = build_model(split, TINY_MODEL_CONFIG)
         with pytest.raises(ValueError, match="validation"):
             fit_with_early_stopping(model, split, batcher)
+
+    @pytest.mark.parametrize(
+        "argument", [{"check_every": 0}, {"patience": 0}, {"max_group_epochs": 0}]
+    )
+    def test_invalid_arguments_raise_before_any_epoch(
+        self, tiny_split, monkeypatch, argument
+    ):
+        from repro.training.trainer import GroupSATrainer
+
+        def trained(*args, **kwargs):
+            raise AssertionError("an epoch ran before the arguments were checked")
+
+        monkeypatch.setattr(GroupSATrainer, "_run_epoch", trained)
+        model, batcher = build_model(tiny_split, TINY_MODEL_CONFIG)
+        training = TrainingConfig(user_epochs=1, group_epochs=1, batch_size=64, seed=0)
+        with pytest.raises(ValueError, match=next(iter(argument))):
+            fit_with_early_stopping(
+                model, tiny_split, batcher, training, num_candidates=10, **argument
+            )

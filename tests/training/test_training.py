@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import RowSparseGrad, Tensor
+from repro.baselines import AGREE, BPRMF, NCF, SIGR
 from repro.core import GroupSAConfig
+from repro.data import GroupBatcher
+from repro.nn import Embedding
 from repro.training import (
     GroupSATrainer,
     History,
@@ -96,15 +99,36 @@ class TestTrainer:
         assert all(isinstance(log, EpochLog) for log in seen)
 
 
+#: Every neural model, built the way its ``fit`` builds it.
+NETWORKS = {
+    "GroupSA": lambda split: build_model(split, TINY_MODEL_CONFIG)[0],
+    "MFNetwork": lambda split: BPRMF(dim=8, seed=0).build_network(split.train),
+    "NCFNetwork": lambda split: NCF(embedding_dim=8, seed=0).build_network(split.train),
+    "AGREENetwork": lambda split: AGREE(embedding_dim=8, seed=0).build_network(split.train),
+    "SIGRNetwork": lambda split: SIGR(embedding_dim=8, seed=0).build_network(split.train),
+}
+#: Embedding tables that also take a dense gradient: SIGR propagates
+#: every item row into the user representation with a matmul.
+DENSE_EMBEDDINGS = {("SIGRNetwork", "item_embedding")}
+
+
+def one_loop_trainer(name, split, config=TINY_TRAINING):
+    return GroupSATrainer(NETWORKS[name](split), split, GroupBatcher(split.train), config)
+
+
+def tasks(name):
+    return ("user",) if name == "MFNetwork" else ("user", "group")
+
+
 class TestOneEntityHalfPerStep:
     """A count, not a timing: each step gathers ``emb^U`` and runs user
-    modeling / the voting rounds once for the positive and the negative."""
+    modeling / the voting rounds once for the positive and the negative.
+    GroupSA and the four neural baselines all train through this step."""
 
     @pytest.fixture
     def counted(self, monkeypatch, tiny_split):
         from repro.core.user_modeling import UserModeling
         from repro.core.voting import VotingNetwork
-        from repro.nn import Embedding
 
         model, batcher = build_model(tiny_split, TINY_MODEL_CONFIG)
         calls = {"user_modeling": 0, "voting": 0, "user_embedding": 0}
@@ -140,6 +164,87 @@ class TestOneEntityHalfPerStep:
         loss, accuracy = trainer._group_step(groups, positives, negatives)
         assert calls == {"user_modeling": 0, "voting": 1, "user_embedding": 1}
         assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+    def spy(self, monkeypatch, model, method):
+        calls = []
+        original = getattr(model, method)
+
+        def spying(first, items):
+            calls.append(np.shape(items))
+            return original(first, items)
+
+        monkeypatch.setattr(model, method, spying)
+        return calls
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_user_step_is_one_call_over_two_columns(self, name, tiny_split, monkeypatch):
+        trainer = one_loop_trainer(name, tiny_split)
+        calls = self.spy(monkeypatch, trainer.model, "user_score_components")
+        users, positives = tiny_split.train.user_item[:32].T
+        negatives = trainer.user_sampler.sample_many(users, 1).reshape(-1)
+        loss, accuracy = trainer._user_step(users, positives, negatives)
+        assert calls == [(32, 2)]
+        assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+    @pytest.mark.parametrize("name", [n for n in NETWORKS if "group" in tasks(n)])
+    def test_group_step_is_one_call_over_two_columns(self, name, tiny_split, monkeypatch):
+        trainer = one_loop_trainer(name, tiny_split)
+        calls = self.spy(monkeypatch, trainer.model, "group_scores")
+        groups, positives = tiny_split.train.group_item[:16].T
+        negatives = trainer.group_sampler.sample_many(groups, 1).reshape(-1)
+        loss, accuracy = trainer._group_step(groups, positives, negatives)
+        assert calls == [(16, 2)]
+        assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_gathered_embeddings_get_row_sparse_grads(self, name, tiny_split, monkeypatch):
+        trainer = one_loop_trainer(name, tiny_split, TrainingConfig())
+        tables = {
+            path: module.weight
+            for path, module in trainer.model.named_modules()
+            if isinstance(module, Embedding)
+        }
+        seen = {}
+        step = trainer.optimizer.step
+
+        def checked_step():
+            if task not in seen:
+                seen[task] = {
+                    path: type(weight.grad)
+                    for path, weight in tables.items()
+                    if weight.grad is not None
+                }
+            step()
+
+        monkeypatch.setattr(trainer.optimizer, "step", checked_step)
+        for task in tasks(name):
+            getattr(trainer, f"train_{task}_task")(epochs=1)
+        for task in tasks(name):
+            assert seen[task], f"the {task} step reached no embedding table"
+            for path, grad_type in seen[task].items():
+                dense = (name, path) in DENSE_EMBEDDINGS
+                assert grad_type is (np.ndarray if dense else RowSparseGrad), (task, path)
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_state_dict_resumes_bit_exactly(self, name, tiny_split):
+        def epoch(trainer):
+            for task in tasks(name):
+                getattr(trainer, f"train_{task}_task")(epochs=1)
+
+        uninterrupted = one_loop_trainer(name, tiny_split)
+        epoch(uninterrupted)
+        epoch(uninterrupted)
+
+        interrupted = one_loop_trainer(name, tiny_split)
+        epoch(interrupted)
+        resumed = one_loop_trainer(name, tiny_split)
+        resumed.model.load_state_dict(interrupted.model.state_dict())
+        resumed.load_state_dict(interrupted.state_dict())
+        epoch(resumed)
+        for (path, a), (__, b) in zip(
+            uninterrupted.model.named_parameters(), resumed.model.named_parameters()
+        ):
+            assert np.array_equal(a.data, b.data), path
 
 
 class TestTwoStage:
@@ -182,6 +287,39 @@ class TestTwoStage:
         # 2 warmup user epochs + 2 interleaved replays.
         assert len(history.losses("user")) == 4
         assert len(history.losses("group")) == 4
+
+    def test_stop_hook_ends_the_run_at_the_first_check(self, tiny_split, tmp_path):
+        from repro.training import CheckpointManager
+        from repro.training.early_stopping import ValidationMonitor
+        from repro.tuning import validation_task
+
+        model, batcher = build_model(tiny_split, TINY_MODEL_CONFIG)
+        monitor = ValidationMonitor(
+            model=model,
+            batcher=batcher,
+            task=validation_task(tiny_split, num_candidates=10),
+            patience=1,
+            check_every=2,
+            best_value=np.inf,  # no value improves on it: the first check stops
+        )
+        training = TrainingConfig(
+            user_epochs=1, group_epochs=6, interleave_user_every=2, seed=0
+        )
+        history = fit_groupsa(
+            model,
+            tiny_split,
+            batcher,
+            training,
+            callback=monitor,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=5,
+        )
+        assert len(monitor.history) == 1
+        assert len(history.losses("group")) == 2
+        # Stage 1's epoch and the replay that closes the stopping unit.
+        assert len(history.losses("user")) == 2
+        __, state = CheckpointManager(tmp_path).load_latest(model=model)
+        assert state.schedule["position"]["group_epochs_done"] == 2
 
     def test_closeness_variants_build(self, tiny_split):
         for closeness in ("direct", "full", "common-neighbours", "pagerank"):
