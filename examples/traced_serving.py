@@ -75,13 +75,13 @@ def main() -> None:
     print(f"chrome trace: serve_trace.json ({events} events)")
     print("span log:     serve_spans.jsonl")
     with open("serve_metrics.prom", "w", encoding="utf-8") as handle:
-        handle.write(engine.telemetry.exposition())
+        handle.write(engine.registry.exposition())
     print("exposition:   serve_metrics.prom")
 
-    report = make_serving_report(telemetry=engine.telemetry, tracer=tracer)
-    stages = report["data"]["telemetry"]["stages"]
-    p99 = stages["engine.request"]["p99_ms"]
-    print(f"engine.request p99: {p99:.3f} ms  (full history, no reservoir)")
+    report = make_serving_report(registry=engine.registry, tracer=tracer)
+    histograms = report["data"]["metrics"]["histograms"]
+    p99_ms = histograms["stage.engine.request"]["p99"] * 1e3
+    print(f"engine.request p99: {p99_ms:.3f} ms  (full history, no reservoir)")
     service.close()
 
 

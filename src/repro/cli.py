@@ -149,72 +149,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_obs_report(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.obs.ops_report import write_ops_report
-    from repro.obs.ops_session import OpsSessionConfig, run_ops_session
-    from repro.training.two_stage import build_model as build_groupsa
-
-    if args.data:
-        dataset = load_dataset(args.data)
-    else:
-        presets = {"yelp": yelp_like, "douban": douban_like}
-        dataset = presets[args.preset](scale=args.scale, seed=args.seed).dataset
-    split = split_interactions(dataset, rng=args.seed)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model, __ = build_groupsa(split, GroupSAConfig(embedding_dim=args.dim))
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-obs-")
-    config = OpsSessionConfig(
-        mode=args.mode,
-        num_warm=args.warm,
-        num_requests=args.requests,
-        k=args.k,
-        num_events=args.events,
-        drift=args.drift,
-        inject_latency_s=args.inject_latency_ms / 1000.0,
-        seed=args.seed,
-        num_workers=args.workers,
-        num_shards=args.shards,
-    )
-    report = run_ops_session(model, dataset, workdir, config)
-    data = report["data"]
-    slo = data["slo"]
-    alerts = data["alerts"]
-    print(
-        f"mode {args.mode}   SLOs burning {slo['burning']}/{slo['specs']}   "
-        f"alerts {alerts['total']} "
-        f"(pages {alerts['by_severity'].get('page', 0)}, "
-        f"warns {alerts['by_severity'].get('warn', 0)})"
-    )
-    for event in alerts["events"]:
-        print(f"  [{event['severity']}] {event['kind']}: {event['message']}")
-    for status in data["drift"]:
-        flagged = (
-            status.get("drifted") or status.get("degraded")
-            or status.get("trending")
-        )
-        print(f"drift    {status['name']:14s} {'FLAGGED' if flagged else 'ok'}")
-    online = data["online"]
-    print(
-        f"online   version {online['model_version']}   "
-        f"steps {online['steps']}   events {online['events_ingested']}"
-    )
-    traces = data["traces"]["summary"]
-    print(
-        f"tracing  kept {traces['traces_kept']}/{traces['traces_started']} "
-        f"traces   root p99 {traces['root_latency_ms']['p99_ms']:.3f} ms"
-    )
-    write_ops_report(report, json_path=args.json, html_path=args.html)
-    for path in (args.json, args.html):
-        if path:
-            print(f"wrote {path}")
-    print(f"session artifacts in {workdir}")
-    return 0
-
-
 def _command_profile(args: argparse.Namespace) -> int:
     from repro.obs import (
         OpProfiler,
@@ -385,53 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--group", type=int, required=True)
     recommend.add_argument("-k", type=int, default=10)
     recommend.set_defaults(handler=_command_recommend)
-
-    obs_report = commands.add_parser(
-        "obs-report",
-        help="run a short serve/stream/swap ops session and write the "
-        "unified fleet report (metrics, SLO burn rates, alerts, drift, "
-        "traces, online health) as JSON and a self-contained HTML "
-        "dashboard",
-    )
-    obs_report.add_argument("--data", default=None, help="saved dataset (.npz)")
-    obs_report.add_argument("--preset", choices=("yelp", "douban"), default="yelp")
-    obs_report.add_argument("--scale", type=float, default=0.02)
-    obs_report.add_argument(
-        "--model", default=None, help="checkpoint to serve (default: fresh)"
-    )
-    obs_report.add_argument("--dim", type=int, default=32)
-    obs_report.add_argument(
-        "--mode", choices=("direct", "engine", "cluster"), default="engine"
-    )
-    obs_report.add_argument("--requests", type=int, default=60)
-    obs_report.add_argument("--warm", type=int, default=40)
-    obs_report.add_argument("-k", type=int, default=10)
-    obs_report.add_argument("--events", type=int, default=400)
-    obs_report.add_argument(
-        "--drift",
-        type=float,
-        default=0.0,
-        help="event-stream drift knob in [0, 1] (high values should trip "
-        "the event-drift detector)",
-    )
-    obs_report.add_argument(
-        "--inject-latency-ms",
-        type=float,
-        default=0.0,
-        help="add this constant to every recorded post-swap request "
-        "latency sample — a deterministic SLO-breach injection",
-    )
-    obs_report.add_argument("--workers", type=int, default=2)
-    obs_report.add_argument("--shards", type=int, default=2)
-    obs_report.add_argument("--seed", type=int, default=0)
-    obs_report.add_argument(
-        "--workdir", default=None, help="session artifacts go here"
-    )
-    obs_report.add_argument("--json", default=None, help="write the JSON report here")
-    obs_report.add_argument(
-        "--html", default=None, help="write the HTML dashboard here"
-    )
-    obs_report.set_defaults(handler=_command_obs_report)
 
     profile = commands.add_parser(
         "profile",

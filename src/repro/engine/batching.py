@@ -22,7 +22,7 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.engine.telemetry import Telemetry
+from repro.obs.metrics_registry import MetricsRegistry
 from repro.obs.spans import capture_context, record_span, span, use_span
 
 # Handler contract: payloads in, one result per payload, same order.
@@ -73,6 +73,9 @@ class MicroBatcher:
         Seconds to wait for more requests after the first one of a
         batch arrives.  ``0.0`` means greedy draining: anything already
         queued joins the flush, but the worker never sleeps waiting.
+    registry:
+        Where flush counts, occupancy, queue wait and execute latency
+        are recorded; a private :class:`MetricsRegistry` by default.
     autostart:
         Start the worker immediately.  Pass ``False`` to stage
         requests first (deterministic coalescing in tests) and call
@@ -84,7 +87,7 @@ class MicroBatcher:
         handler: BatchHandler,
         max_batch_size: int = 64,
         flush_interval: float = 0.0,
-        telemetry: Optional[Telemetry] = None,
+        registry: Optional[MetricsRegistry] = None,
         autostart: bool = True,
     ) -> None:
         if max_batch_size < 1:
@@ -94,7 +97,10 @@ class MicroBatcher:
         self.handler = handler
         self.max_batch_size = max_batch_size
         self.flush_interval = flush_interval
-        self.telemetry = telemetry
+        self.registry = registry or MetricsRegistry()
+        # Batch sizes are small integers: a fine grid from 1 up keeps
+        # every size in its own bucket.
+        self._occupancy = self.registry.histogram("batch.occupancy", lo=0.5, hi=1e5)
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._closed = False
@@ -191,16 +197,23 @@ class MicroBatcher:
         return batch
 
     def _handle(self, batch: List[_Request], batch_parent: Any) -> Sequence[Any]:
-        """Run the handler under the flush's span (no-op when untraced)."""
+        """Run the handler under the flush's span (no-op when untraced);
+        its latency is recorded whether it returns or raises."""
         payloads = [r.payload for r in batch]
-        if batch_parent is None:
-            return self.handler(payloads)
-        with use_span(batch_parent):
-            with span("batch.execute", batch_size=len(batch)) as flush_span:
-                if flush_span is not None:
-                    traces = {r.span.trace_id for r in batch if r.span is not None}
-                    flush_span.set_attr("traces", sorted(traces))
+        start = time.perf_counter()
+        try:
+            if batch_parent is None:
                 return self.handler(payloads)
+            with use_span(batch_parent):
+                with span("batch.execute", batch_size=len(batch)) as flush_span:
+                    if flush_span is not None:
+                        traces = {r.span.trace_id for r in batch if r.span is not None}
+                        flush_span.set_attr("traces", sorted(traces))
+                    return self.handler(payloads)
+        finally:
+            self.registry.histogram("stage.batch.execute").observe(
+                time.perf_counter() - start
+            )
 
     def _run(self) -> None:
         while True:
@@ -208,14 +221,12 @@ class MicroBatcher:
             if batch is None:
                 return
             now = time.perf_counter()
-            if self.telemetry:
-                self.telemetry.record_batch(len(batch))
-                self.telemetry.increment("batch.flushes")
-                self.telemetry.increment("batch.requests", len(batch))
-                for request in batch:
-                    self.telemetry.record_latency(
-                        "batch.queue_wait", now - request.enqueued_at
-                    )
+            self._occupancy.observe(len(batch))
+            self.registry.counter("batch.flushes").inc()
+            self.registry.counter("batch.requests").inc(len(batch))
+            queue_wait = self.registry.histogram("stage.batch.queue_wait")
+            for request in batch:
+                queue_wait.observe(now - request.enqueued_at)
             # Per-request queue-wait spans, parented onto each request's
             # captured trace context; the shared flush span is parented
             # onto the first traced request and carries the full trace
@@ -233,11 +244,7 @@ class MicroBatcher:
                     )
             self._inflight = batch
             try:
-                if self.telemetry:
-                    with self.telemetry.time("batch.execute"):
-                        results = self._handle(batch, batch_parent)
-                else:
-                    results = self._handle(batch, batch_parent)
+                results = self._handle(batch, batch_parent)
                 if len(results) != len(batch):
                     raise RuntimeError(
                         f"handler returned {len(results)} results "

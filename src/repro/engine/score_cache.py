@@ -16,12 +16,13 @@ the cache degrades gracefully on worlds too large to hold densely.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional
 
 import numpy as np
 
-from repro.engine.telemetry import Telemetry
+from repro.obs.metrics_registry import MetricsRegistry
 from repro.obs.spans import span
 
 ScoreFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -31,15 +32,15 @@ class LRUCache:
     """Thread-safe least-recently-used map with a fixed capacity.
 
     ``get`` refreshes recency; ``put`` evicts the stalest entry once
-    ``capacity`` is exceeded.  Hit/miss/eviction counts stream into the
-    optional :class:`Telemetry` under ``<name>.hit`` / ``.miss`` /
-    ``.evict``.
+    ``capacity`` is exceeded.  Hit/miss/eviction counts stream into
+    ``registry`` (a private :class:`MetricsRegistry` by default) under
+    ``<name>.hit`` / ``.miss`` / ``.evict``.
     """
 
     def __init__(
         self,
         capacity: int,
-        telemetry: Optional[Telemetry] = None,
+        registry: Optional[MetricsRegistry] = None,
         name: str = "lru",
     ) -> None:
         if capacity < 1:
@@ -47,18 +48,16 @@ class LRUCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._telemetry = telemetry
+        self.registry = registry or MetricsRegistry()
         self._name = name
 
     def get(self, key: Hashable):
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                if self._telemetry:
-                    self._telemetry.increment(f"{self._name}.hit")
+                self.registry.counter(f"{self._name}.hit").inc()
                 return self._entries[key]
-        if self._telemetry:
-            self._telemetry.increment(f"{self._name}.miss")
+        self.registry.counter(f"{self._name}.miss").inc()
         return None
 
     def peek(self, key: Hashable):
@@ -72,8 +71,7 @@ class LRUCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                if self._telemetry:
-                    self._telemetry.increment(f"{self._name}.evict")
+                self.registry.counter(f"{self._name}.evict").inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -100,6 +98,9 @@ class ScoreCache:
         default — the dense matrix for these worlds is small).  When
         the budget is smaller than the matrix, least-recently-used
         blocks are dropped and recomputed on demand.
+    registry:
+        Where block hits/misses/evictions and block-compute latency are
+        recorded; a private :class:`MetricsRegistry` by default.
     """
 
     def __init__(
@@ -109,7 +110,7 @@ class ScoreCache:
         num_items: int,
         block_rows: int = 256,
         memory_budget_bytes: Optional[int] = None,
-        telemetry: Optional[Telemetry] = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
@@ -117,7 +118,7 @@ class ScoreCache:
         self.num_users = num_users
         self.num_items = num_items
         self.block_rows = min(block_rows, max(1, num_users))
-        self.telemetry = telemetry
+        self.registry = registry or MetricsRegistry()
         block_bytes = self.block_rows * num_items * np.dtype(np.float64).itemsize
         if memory_budget_bytes is None:
             max_blocks = self.num_blocks
@@ -125,7 +126,7 @@ class ScoreCache:
             max_blocks = max(1, memory_budget_bytes // max(1, block_bytes))
         self._blocks = LRUCache(
             capacity=max(1, min(max_blocks, self.num_blocks)),
-            telemetry=telemetry,
+            registry=self.registry,
             name="score_cache",
         )
         self._compute_lock = threading.Lock()
@@ -148,8 +149,8 @@ class ScoreCache:
         stop = min(start + self.block_rows, self.num_users)
         items = np.arange(self.num_items, dtype=np.int64)
         rows = np.empty((stop - start, self.num_items))
-
-        def fill() -> None:
+        with span("score_cache.block_compute", block=block_id, rows=stop - start):
+            began = time.perf_counter()
             # The scorer evaluates each user's rows as one run whoever
             # else shares the call, so a cached row is bit-identical to a
             # direct full-row call.  Two calls of whole users: the id
@@ -160,13 +161,9 @@ class ScoreCache:
                 rows[low : low + half] = self.score_fn(
                     np.repeat(users, self.num_items), np.tile(items, users.size)
                 ).reshape(users.size, self.num_items)
-
-        with span("score_cache.block_compute", block=block_id, rows=stop - start):
-            if self.telemetry:
-                with self.telemetry.time("score_cache.block_compute"):
-                    fill()
-            else:
-                fill()
+            self.registry.histogram("stage.score_cache.block_compute").observe(
+                time.perf_counter() - began
+            )
         return rows
 
     def _get_block(self, block_id: int) -> np.ndarray:

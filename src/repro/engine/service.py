@@ -15,12 +15,16 @@ request kinds flow through one micro-batch queue:
   the caller's or built per request, scoring is vectorized over the
   candidate items.
 
-All stages record into a shared :class:`Telemetry`; snapshots expose
-per-stage latency, cache hit rates and batch occupancy.
+Every stage records into the engine's one
+:class:`~repro.obs.metrics_registry.MetricsRegistry` (latencies under
+``stage.<name>`` in seconds, counters, ``batch.occupancy``);
+:func:`telemetry_snapshot` reads it as per-stage latency, cache hit
+rates and batch occupancy.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -39,8 +43,48 @@ from repro.engine.scorer import (
     canonical_members,
     check_retrieval,
 )
-from repro.engine.telemetry import Telemetry
+from repro.obs.metrics_registry import Histogram, MetricsRegistry
 from repro.obs.spans import span
+
+_STAGE = "stage."
+
+
+def telemetry_snapshot(registry: MetricsRegistry) -> dict:
+    """JSON-ready view of an engine registry: ``stages`` (latency
+    summaries in ms), ``counters``, ``rates`` (a ``<name>.hit_rate`` per
+    ``<name>.hit`` / ``.miss`` pair with traffic) and ``batches``."""
+    stages = {
+        name[len(_STAGE):]: {
+            "count": histogram.count,
+            "mean_ms": histogram.mean() * 1e3,
+            "p50_ms": histogram.percentile(50) * 1e3,
+            "p90_ms": histogram.percentile(90) * 1e3,
+            "p99_ms": histogram.percentile(99) * 1e3,
+            "max_ms": histogram.max * 1e3,
+        }
+        for name, histogram in registry.histograms().items()
+        if name.startswith(_STAGE)
+    }
+    counters = {name: counter.value for name, counter in registry.counters().items()}
+    rates = {}
+    for name, hits in counters.items():
+        if name.endswith(".hit"):
+            base = name[: -len(".hit")]
+            total = hits + counters.get(base + ".miss", 0)
+            if total:
+                rates[base + ".hit_rate"] = hits / total
+    occupancy = registry.histograms().get("batch.occupancy") or Histogram("empty")
+    return {
+        "stages": stages,
+        "counters": counters,
+        "rates": rates,
+        "batches": {
+            "count": occupancy.count,
+            "mean_occupancy": occupancy.mean(),
+            "max_occupancy": occupancy.max,
+        },
+    }
+
 
 @dataclass
 class EngineConfig:
@@ -116,32 +160,32 @@ class InferenceEngine:
         model: GroupSA,
         dataset,
         config: Optional[EngineConfig] = None,
-        telemetry: Optional[Telemetry] = None,
         autostart: bool = True,
         model_version: int = 0,
     ) -> None:
         self.config = config or EngineConfig()
-        self.telemetry = telemetry or Telemetry()
+        self.registry = MetricsRegistry()
         check_retrieval(self.config.retrieval)
         self.views = RequestViews.of(dataset)
         ann_index: Optional[IVFIndex] = None
         if self.config.retrieval == "ann":
-            with self.telemetry.time("ann.build"):
-                ann_index = IVFIndex(
-                    model.item_embedding.weight.data,
-                    nlist=self.config.ann_nlist,
-                    nprobe=self.config.ann_nprobe,
-                    seed=self.config.ann_seed,
-                )
+            start = time.perf_counter()
+            ann_index = IVFIndex(
+                model.item_embedding.weight.data,
+                nlist=self.config.ann_nlist,
+                nprobe=self.config.ann_nprobe,
+                seed=self.config.ann_seed,
+            )
+            self.registry.histogram("stage.ann.build").observe(
+                time.perf_counter() - start
+            )
         self._state = self._build_state(model, int(model_version), ann_index)
-        self.telemetry.registry.gauge("engine.model_version").set(
-            int(model_version)
-        )
+        self.registry.gauge("engine.model_version").set(int(model_version))
         self._batcher_queue = MicroBatcher(
             self._execute,
             max_batch_size=self.config.max_batch_size,
             flush_interval=self.config.flush_interval,
-            telemetry=self.telemetry,
+            registry=self.registry,
             autostart=autostart,
         )
 
@@ -156,7 +200,7 @@ class InferenceEngine:
             version,
             ann_index=ann_index,
             ann_candidates=self.config.ann_candidates,
-            registry=self.telemetry.registry,
+            registry=self.registry,
         )
         budget = self.config.score_cache_budget_mb
         cache = ScoreCache(
@@ -165,7 +209,7 @@ class InferenceEngine:
             num_items=self.views.num_items,
             block_rows=self.config.score_block_rows,
             memory_budget_bytes=None if budget is None else int(budget * 2**20),
-            telemetry=self.telemetry,
+            registry=self.registry,
         )
         return _EngineState(scorer, cache)
 
@@ -206,21 +250,30 @@ class InferenceEngine:
             raise ValueError(
                 f"model_version must increase: {version} <= {old.scorer.version}"
             )
-        with self.telemetry.time("engine.swap"):
+        start = time.perf_counter()
+        try:
             with span("engine.swap", version=version):
                 ann_index = None
                 if self.config.retrieval == "ann":
                     with span("engine.swap.ann_rebuild"):
-                        with self.telemetry.time("ann.build"):
-                            ann_index = old.scorer.ann_index.rebuild(
-                                model.item_embedding.weight.data
-                            )
+                        rebuild_start = time.perf_counter()
+                        ann_index = old.scorer.ann_index.rebuild(
+                            model.item_embedding.weight.data
+                        )
+                        self.registry.histogram("stage.ann.build").observe(
+                            time.perf_counter() - rebuild_start
+                        )
                 with span("engine.swap.score_cache", version=version):
                     state = self._build_state(model, version, ann_index)
                 with span("engine.swap.publish", version=version):
                     self._state = state
-        self.telemetry.increment("engine.swaps")
-        self.telemetry.registry.gauge("engine.model_version").set(version)
+        finally:
+            # A rejected model is timed too, but only a swap counts.
+            self.registry.histogram("stage.engine.swap").observe(
+                time.perf_counter() - start
+            )
+        self.registry.counter("engine.swaps").inc()
+        self.registry.gauge("engine.model_version").set(version)
         return version
 
     # -- lifecycle ------------------------------------------------------
@@ -243,7 +296,7 @@ class InferenceEngine:
         self.score_cache.warm(users)
 
     def telemetry_snapshot(self) -> dict:
-        return self.telemetry.snapshot()
+        return telemetry_snapshot(self.registry)
 
     # -- submission -----------------------------------------------------
 
@@ -255,7 +308,7 @@ class InferenceEngine:
         ``adhoc`` is :meth:`RequestViews.adhoc` of the members when the
         caller holds it; without it the batch is built at ranking time."""
         payload = self.views.check(kind, arg, k)
-        self.telemetry.increment(f"requests.{kind}")
+        self.registry.counter(f"requests.{kind}").inc()
         return self._batcher_queue.submit((kind, payload, k, bool(versioned), adhoc))
 
     def topk(self, kind: str, arg, k: int = 10, versioned: bool = False, adhoc=None):
@@ -263,9 +316,14 @@ class InferenceEngine:
         version the batch actually executed against (captured
         atomically with the scores)."""
         attrs = {"member_count": len(arg)} if kind == "adhoc" else {kind: int(arg)}
-        with self.telemetry.time("engine.request"):
+        start = time.perf_counter()
+        try:
             with span("engine.submit", kind=kind, k=k, **attrs):
                 return self.submit(kind, arg, k, versioned, adhoc).result()
+        finally:
+            self.registry.histogram("stage.engine.request").observe(
+                time.perf_counter() - start
+            )
 
     def submit_user(self, user: int, k: int = 10, versioned: bool = False):
         return self.submit("user", user, k, versioned)
@@ -314,9 +372,12 @@ class InferenceEngine:
         for kind, indices in by_kind.items():
             if not indices:
                 continue
-            with self.telemetry.time(f"engine.{kind}_stage"):
-                with span(f"engine.{kind}_stage", requests=len(indices)):
-                    ranked = self._rank(state, kind, [payloads[i] for i in indices])
+            start = time.perf_counter()
+            with span(f"engine.{kind}_stage", requests=len(indices)):
+                ranked = self._rank(state, kind, [payloads[i] for i in indices])
+            self.registry.histogram(f"stage.engine.{kind}_stage").observe(
+                time.perf_counter() - start
+            )
             for index, result in zip(indices, ranked):
                 results[index] = result
         return [

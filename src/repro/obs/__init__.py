@@ -1,7 +1,6 @@
 """repro.obs — the observability subsystem.
 
-Cross-cutting measurement for the training stack, mirroring what
-:mod:`repro.engine.telemetry` provides for serving:
+Measurement for the training and serving stacks:
 
 - :class:`OpProfiler` — context-manager autograd op profiler (per-op
   wall time, bytes, FLOP estimates, module-scope attribution; zero
@@ -19,36 +18,18 @@ Cross-cutting measurement for the training stack, mirroring what
   installed);
 - :class:`MetricsRegistry` — thread-safe counters, gauges and
   mergeable fixed-log-bucket histograms with Prometheus text
-  exposition (the storage behind the engine's ``Telemetry``);
+  exposition; the engine, router, shard workers, swapper and online
+  trainer all record into one;
 - :func:`make_report` — the unified JSON report envelope shared by
-  profiles, run metrics and the serving telemetry snapshot
-  (:func:`make_serving_report` bundles the whole serving surface);
+  profiles, run metrics and registries (:func:`make_serving_report`
+  bundles the whole serving surface);
 - :class:`RemoteSpanRecorder` / :func:`adopt_remote_spans` — the
   cross-process tracing bridge: workers record spans tracer-free, the
   router stitches them into the live trace (see docs/observability.md,
-  "Distributed tracing");
-- :class:`TimeSeriesStore` — bounded ring-buffer series scraped from
-  metric registries, the substrate SLOs and drift detectors query;
-- :class:`SLOMonitor` / :class:`SLOSpec` — declarative objectives with
-  multi-window burn-rate evaluation and transition-based alerts;
-- :class:`ScoreDistributionDetector` (PSI) /
-  :class:`RateDegradationDetector` / :class:`GradientTrendDetector` —
-  streaming drift and degradation watches over an :class:`AlertLog`;
-- :func:`build_ops_report` / :func:`run_ops_session` — the unified
-  fleet ops report (metrics + SLO + alerts + traces + online health)
-  as JSON and a self-contained HTML dashboard.
+  "Distributed tracing").
 
-CLI entry points: ``repro profile``, ``repro train --metrics-out``
-and ``repro obs-report``.
+CLI entry points: ``repro profile`` and ``repro train --metrics-out``.
 """
-
-from repro.obs.alerts import ALERT_SCHEMA, AlertEvent, AlertLog
-from repro.obs.drift import (
-    GradientTrendDetector,
-    RateDegradationDetector,
-    ScoreDistributionDetector,
-    psi,
-)
 
 from repro.obs.grad_health import (
     GradientHealthError,
@@ -68,14 +49,6 @@ from repro.obs.profiler import (
     attach_scopes,
     get_active_profiler,
 )
-from repro.obs.ops_report import (
-    OPS_REPORT_KIND,
-    build_ops_report,
-    render_ops_html,
-    trace_summaries,
-    write_ops_report,
-)
-from repro.obs.ops_session import OpsSessionConfig, run_ops_session
 from repro.obs.report import (
     REPORT_SCHEMA,
     is_report,
@@ -89,7 +62,6 @@ from repro.obs.run_metrics import (
     RunMetrics,
     rss_high_water_mb,
 )
-from repro.obs.slo import SLOMonitor, SLOSpec, SLOStatus
 from repro.obs.spans import (
     REMOTE_SPAN_SCHEMA,
     SPAN_SCHEMA,
@@ -103,7 +75,6 @@ from repro.obs.spans import (
     trace_context,
     tracing_enabled,
 )
-from repro.obs.timeseries import HISTOGRAM_KEYS, TimeSeriesStore
 from repro.obs.trace import (
     chrome_trace_events,
     format_top_table,
@@ -151,24 +122,5 @@ __all__ = [
     "tracing_enabled",
     "span_chrome_events",
     "write_span_chrome_trace",
-    "ALERT_SCHEMA",
-    "AlertEvent",
-    "AlertLog",
-    "TimeSeriesStore",
-    "HISTOGRAM_KEYS",
-    "SLOSpec",
-    "SLOStatus",
-    "SLOMonitor",
-    "psi",
-    "ScoreDistributionDetector",
-    "RateDegradationDetector",
-    "GradientTrendDetector",
     "JsonlWriter",
-    "OPS_REPORT_KIND",
-    "build_ops_report",
-    "render_ops_html",
-    "trace_summaries",
-    "write_ops_report",
-    "OpsSessionConfig",
-    "run_ops_session",
 ]

@@ -1,8 +1,8 @@
 """Unified metrics registry: counters, gauges, log-bucket histograms.
 
-The serving stack's metrics primitive.  :class:`Histogram` replaces the
-engine telemetry's old bounded-reservoir percentiles with **fixed
-logarithmic buckets**: every sample lands in a bucket whose bounds grow
+The serving stack's metrics primitive.  :class:`Histogram` keeps
+**fixed logarithmic buckets** instead of a bounded reservoir of recent
+samples: every sample lands in a bucket whose bounds grow
 geometrically, so
 
 - the full history is retained (no samples silently dropped under

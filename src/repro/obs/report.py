@@ -1,14 +1,14 @@
 """The unified JSON report envelope every observability surface emits.
 
-Profiles (``repro profile``), training run metrics (``RunMetrics``) and
-the serving engine's telemetry snapshot all serialize as the same
-top-level shape, so downstream tooling (dashboards, CI artifact diffing,
-the bench trajectory files) can dispatch on ``kind`` without per-source
-parsing::
+Profiles (``repro profile``), training run metrics (``RunMetrics``),
+metrics registries, span-log summaries and the serving bundle all
+serialize as the same top-level shape, so downstream tooling
+(dashboards, CI artifact diffing, the bench trajectory files) can
+dispatch on ``kind`` without per-source parsing::
 
     {
       "schema": "repro.obs/v1",
-      "kind": "op_profile" | "training_run" | "serving_telemetry" | ...,
+      "kind": "op_profile" | "training_run" | "metrics_registry" | "serving" | ...,
       "meta": {...},     # producer-specific context (world, config, host)
       "data": {...}      # the payload
     }
@@ -40,24 +40,20 @@ def make_report(
 
 
 def make_serving_report(
-    telemetry: Optional[Any] = None,
     registry: Optional[Any] = None,
     tracer: Optional[Any] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One ``kind="serving"`` envelope for the whole serving surface.
 
-    Bundles whichever serving observability sources exist — the
-    engine's :class:`~repro.engine.telemetry.Telemetry` snapshot, a
-    :class:`~repro.obs.metrics_registry.MetricsRegistry` payload plus
-    its Prometheus exposition, and a
-    :class:`~repro.obs.spans.Tracer` sampling summary — so one artifact
-    answers "what did this worker serve and how" without stitching
-    three files.  Omitted sources simply leave their section out.
+    Bundles whichever serving observability sources exist — a
+    :class:`~repro.obs.metrics_registry.MetricsRegistry` payload
+    (``metrics``) plus its Prometheus text (``exposition``), and a
+    :class:`~repro.obs.spans.Tracer` sampling summary (``spans``) — so
+    one artifact answers "what did this worker serve and how" without
+    stitching files.  Omitted sources simply leave their section out.
     """
     data: Dict[str, Any] = {}
-    if telemetry is not None:
-        data["telemetry"] = telemetry.snapshot()
     if registry is not None:
         data["metrics"] = registry.payload()
         data["exposition"] = registry.exposition()

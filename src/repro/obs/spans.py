@@ -452,7 +452,9 @@ class Tracer:
         return self.install()
 
     def __exit__(self, *exc_info) -> None:
-        self.uninstall()
+        # Kept spans stay readable in memory; a later install() reopens
+        # the span log in append mode.
+        self.close()
 
     def flush(self) -> None:
         with self._lock:

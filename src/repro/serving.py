@@ -12,7 +12,7 @@ Three execution modes share this surface, and one scoring core
   request runs its own forward pass;
 - **engine-backed**: requests route through an
   :class:`~repro.engine.service.InferenceEngine` — precomputed score
-  caches, micro-batched forward passes and serving telemetry — and
+  caches, micro-batched forward passes and a metrics registry — and
   return the same recommendation lists.  Enable with
   :meth:`RecommendationService.enable_engine`.
 - **cluster-backed**: Top-K computation scatters across a pool of
@@ -35,7 +35,6 @@ from repro.core.groupsa import GroupSA
 from repro.data.dataset import GroupRecommendationDataset
 from repro.engine.scorer import RequestViews, Scorer, VersionedTopK
 from repro.engine.service import EngineConfig, InferenceEngine
-from repro.engine.telemetry import Telemetry
 from repro.obs.spans import span
 from repro.persistence import load_model
 
@@ -112,18 +111,13 @@ class RecommendationService:
     # Engine mode
     # ------------------------------------------------------------------
 
-    def enable_engine(
-        self,
-        config: Optional[EngineConfig] = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> InferenceEngine:
+    def enable_engine(self, config: Optional[EngineConfig] = None) -> InferenceEngine:
         """Switch to engine-backed serving; returns the engine."""
         if self.engine is None:
             self.engine = InferenceEngine(
                 self.model,
                 self._views,
                 config=config,
-                telemetry=telemetry,
                 model_version=self.model_version or 0,
             )
         return self.engine
@@ -202,9 +196,9 @@ class RecommendationService:
         covering whichever execution tiers are live.
 
         Cluster mode folds in every reachable worker's registry (exact
-        histogram merge); engine mode contributes the telemetry
+        histogram merge); engine mode contributes the engine's
         registry; direct mode yields an empty registry.  This is the
-        scrape point the ops report and SLO time series sample.
+        one scrape point for a serving process.
         """
         from repro.obs.metrics_registry import MetricsRegistry
 
@@ -212,7 +206,7 @@ class RecommendationService:
         if self.router is not None:
             merged.merge(self.router.metrics())
         if self.engine is not None:
-            merged.merge(self.engine.telemetry.registry)
+            merged.merge(self.engine.registry)
         return merged
 
     # ------------------------------------------------------------------

@@ -7,6 +7,8 @@ full probe returns the exhaustive lists is the differential test's
 (``tests/integration/test_scoring_modes.py``).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,15 @@ class TestEngineAnnMode:
             snapshot = engine.telemetry_snapshot()
         assert snapshot["counters"]["ann.queries"] == 2
         assert 10 <= snapshot["counters"]["ann.candidates"] <= 32
+
+    def test_index_builds_are_timed(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        config = EngineConfig(retrieval="ann", ann_nprobe=2, ann_candidates=16)
+        with InferenceEngine(model, tiny_split.train, config=config) as engine:
+            builds = engine.registry.histogram("stage.ann.build")
+            assert builds.count == 1
+            engine.swap_model(copy.deepcopy(model))
+            assert builds.count == 2
+            stages = engine.telemetry_snapshot()["stages"]
+        assert stages["ann.build"]["count"] == 2
+        assert stages["engine.swap"]["count"] == 1

@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.engine.batching import MicroBatcher
-from repro.engine.telemetry import Telemetry
+from repro.engine.service import telemetry_snapshot
+from repro.obs.metrics_registry import MetricsRegistry
 
 
 def echo_handler(payloads):
@@ -17,21 +18,18 @@ def echo_handler(payloads):
 class TestCoalescing:
     def test_staged_requests_flush_as_one_batch(self):
         seen = []
-        telemetry = Telemetry()
 
         def handler(payloads):
             seen.append(list(payloads))
             return payloads
 
-        batcher = MicroBatcher(
-            handler, max_batch_size=16, telemetry=telemetry, autostart=False
-        )
+        batcher = MicroBatcher(handler, max_batch_size=16, autostart=False)
         futures = [batcher.submit(i) for i in range(6)]
         batcher.start()
         assert [f.result(timeout=5) for f in futures] == list(range(6))
         batcher.close()
         assert seen == [[0, 1, 2, 3, 4, 5]]
-        snapshot = telemetry.snapshot()
+        snapshot = telemetry_snapshot(batcher.registry)
         assert snapshot["batches"]["count"] == 1
         assert snapshot["batches"]["mean_occupancy"] == 6.0
 
@@ -70,13 +68,12 @@ class TestCoalescing:
 
 class TestConcurrency:
     def test_concurrent_submitters_get_their_own_results(self):
-        telemetry = Telemetry()
-        batcher = MicroBatcher(echo_handler, max_batch_size=8, telemetry=telemetry)
+        batcher = MicroBatcher(echo_handler, max_batch_size=8)
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda i: batcher.submit(i).result(timeout=5), range(64)))
         batcher.close()
         assert results == [i * 2 for i in range(64)]
-        assert telemetry.counter("batch.requests") == 64
+        assert batcher.registry.counter("batch.requests").value == 64
 
     def test_handler_runs_on_single_worker_thread(self):
         threads = set()
@@ -90,6 +87,64 @@ class TestConcurrency:
         [f.result(timeout=5) for f in futures]
         batcher.close()
         assert threads == {"microbatcher-worker"}
+
+
+class TestRegistry:
+    def test_standalone_batchers_record_privately(self):
+        first = MicroBatcher(echo_handler)
+        second = MicroBatcher(echo_handler)
+        assert first.submit(1).result(timeout=5) == 2
+        first.close()
+        second.close()
+        assert first.registry is not second.registry
+        assert first.registry.counter("batch.requests").value == 1
+        assert "batch.requests" not in second.registry.counters()
+
+    def test_records_into_the_given_registry(self):
+        registry = MetricsRegistry()
+        batcher = MicroBatcher(echo_handler, registry=registry, autostart=False)
+        assert batcher.registry is registry
+        futures = [batcher.submit(i) for i in range(5)]
+        batcher.start()
+        [f.result(timeout=5) for f in futures]
+        batcher.close()
+        assert registry.counter("batch.flushes").value == 1
+        assert registry.counter("batch.requests").value == 5
+        assert registry.histogram("stage.batch.queue_wait").count == 5
+        assert registry.histogram("stage.batch.execute").count == 1
+
+    def test_execute_latency_is_timed(self):
+        def sleepy(payloads):
+            time.sleep(0.01)
+            return payloads
+
+        batcher = MicroBatcher(sleepy)
+        batcher.submit(1).result(timeout=5)
+        batcher.close()
+        summary = telemetry_snapshot(batcher.registry)["stages"]["batch.execute"]
+        assert summary["count"] == 1
+        assert summary["max_ms"] >= 10.0
+
+    @pytest.mark.parametrize(
+        "handler",
+        [
+            pytest.param(lambda payloads: 1 / 0, id="raises"),
+            pytest.param(lambda payloads: [], id="wrong-count"),
+        ],
+    )
+    def test_failed_flush_is_still_recorded(self, handler):
+        batcher = MicroBatcher(handler, autostart=False)
+        futures = [batcher.submit(i) for i in range(3)]
+        batcher.start()
+        for future in futures:
+            with pytest.raises((ZeroDivisionError, RuntimeError)):
+                future.result(timeout=5)
+        batcher.close()
+        snapshot = telemetry_snapshot(batcher.registry)
+        assert snapshot["counters"] == {"batch.flushes": 1, "batch.requests": 3}
+        assert snapshot["stages"]["batch.execute"]["count"] == 1
+        assert snapshot["stages"]["batch.queue_wait"]["count"] == 3
+        assert snapshot["batches"]["count"] == 1
 
 
 class TestFailure:

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.engine import InferenceEngine
+from repro.engine import EngineConfig, InferenceEngine
 from repro.engine.scorer import RequestViews
 from repro.evaluation.ranking import top_k_scored
 from repro.persistence import save_model
@@ -179,3 +179,173 @@ class TestEngineTelemetry:
 
     def test_direct_mode_has_no_snapshot(self, direct_service):
         assert direct_service.telemetry_snapshot() is None
+
+    def test_engine_takes_no_telemetry_option(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        with pytest.raises(TypeError, match="telemetry"):
+            InferenceEngine(model, tiny_split.train, telemetry=object())
+
+    def test_enable_engine_takes_no_telemetry_option(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        service = RecommendationService(model=model, dataset=tiny_split.train)
+        with pytest.raises(TypeError, match="telemetry"):
+            service.enable_engine(telemetry=object())
+        assert service.engine is None
+
+    def test_components_share_the_engine_registry(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        with InferenceEngine(model, tiny_split.train) as engine:
+            registry = engine.registry
+            assert engine._batcher_queue.registry is registry
+            assert engine.score_cache.registry is registry
+            assert engine._state.scorer.registry is registry
+            engine.swap_model(copy.deepcopy(model))
+            assert engine.score_cache.registry is registry
+            assert engine._state.scorer.registry is registry
+        with InferenceEngine(model, tiny_split.train) as other:
+            assert other.registry is not registry
+
+    @pytest.mark.parametrize(
+        "kind, arg", [("user", 10**6), ("group", 10**6), ("adhoc", [0, 10**6])]
+    )
+    def test_rejected_request_is_timed_not_counted(
+        self, trained_tiny_model, tiny_split, kind, arg
+    ):
+        model, __, __h = trained_tiny_model
+        with InferenceEngine(model, tiny_split.train) as engine:
+            with pytest.raises(IndexError):
+                engine.topk(kind, arg, k=3)
+            snapshot = engine.telemetry_snapshot()
+        assert snapshot["stages"]["engine.request"]["count"] == 1
+        assert snapshot["counters"] == {}
+        assert snapshot["batches"]["count"] == 0
+
+    @pytest.mark.parametrize("kind, arg", [("user", 4), ("group", 2), ("adhoc", [1, 3])])
+    def test_each_kind_records_its_own_stage(
+        self, trained_tiny_model, tiny_split, kind, arg
+    ):
+        model, __, __h = trained_tiny_model
+        with InferenceEngine(model, tiny_split.train) as engine:
+            engine.topk(kind, arg, k=3)
+            snapshot = engine.telemetry_snapshot()
+        kind_stages = {name for name in snapshot["stages"] if name.endswith("_stage")}
+        assert kind_stages == {f"engine.{kind}_stage"}
+        assert snapshot["stages"][f"engine.{kind}_stage"]["count"] == 1
+        assert snapshot["counters"][f"requests.{kind}"] == 1
+
+    def test_rejected_swap_is_timed_not_counted(self, trained_tiny_model, tiny_split):
+        from repro.core.groupsa import GroupSA
+        from tests.conftest import TINY_MODEL_CONFIG
+
+        model, __, __h = trained_tiny_model
+        dataset = tiny_split.train
+        wrong = GroupSA(dataset.num_users, dataset.num_items + 5, TINY_MODEL_CONFIG)
+        with InferenceEngine(model, dataset) as engine:
+            with pytest.raises(ValueError, match="entity counts"):
+                engine.swap_model(wrong, version=1)
+            registry = engine.registry
+            assert registry.histogram("stage.engine.swap").count == 1
+            assert "engine.swaps" not in registry.counters()
+            assert registry.gauge("engine.model_version").value == 0
+
+    @pytest.mark.parametrize("initial", [0, 7])
+    def test_model_version_gauge_follows_swaps(
+        self, trained_tiny_model, tiny_split, initial
+    ):
+        model, __, __h = trained_tiny_model
+        with InferenceEngine(model, tiny_split.train, model_version=initial) as engine:
+            gauge = engine.registry.gauge("engine.model_version")
+            assert gauge.value == initial
+            assert engine.swap_model(copy.deepcopy(model)) == initial + 1
+            assert gauge.value == initial + 1
+            assert engine.registry.counter("engine.swaps").value == 1
+
+    def test_fleet_metrics_is_the_engine_registry(self, trained_tiny_model, tiny_split):
+        model, __, __h = trained_tiny_model
+        service = RecommendationService(model=model, dataset=tiny_split.train)
+        engine = service.enable_engine()
+        try:
+            service.recommend_for_user(0, k=3)
+            service.recommend_for_members([1, 2], k=3)
+            assert service.fleet_metrics().payload() == engine.registry.payload()
+        finally:
+            service.close()
+
+    def test_metric_surface_is_pinned(self, trained_tiny_model, tiny_split):
+        """A fixed request sequence yields exactly these instruments and
+        counts: scrapers, ``fleet_metrics()`` and the benchmark read
+        them by name."""
+        model, __, __h = trained_tiny_model
+        service = RecommendationService(model=model, dataset=tiny_split.train)
+        engine = service.enable_engine(EngineConfig(max_batch_size=1))
+        try:
+            for user in range(5):
+                service.recommend_for_user(user, k=3)
+            for group in range(3):
+                service.recommend_for_group(group, k=3)
+            for members in ([0, 1], [2, 4, 6]):
+                service.recommend_for_members(members, k=3)
+            engine.warm()
+            engine.swap_model(copy.deepcopy(model))
+            snapshot = service.telemetry_snapshot()
+            metrics = service.fleet_metrics()
+        finally:
+            service.close()
+
+        stage_counts = {
+            "batch.execute": 10,
+            "batch.queue_wait": 10,
+            "engine.adhoc_stage": 2,
+            "engine.group_stage": 3,
+            "engine.request": 10,
+            "engine.swap": 1,
+            "engine.user_stage": 5,
+            "score_cache.block_compute": 1,
+        }
+        assert {
+            name: summary["count"] for name, summary in snapshot["stages"].items()
+        } == stage_counts
+        assert snapshot["counters"] == {
+            "batch.flushes": 10,
+            "batch.requests": 10,
+            "engine.swaps": 1,
+            "requests.adhoc": 2,
+            "requests.group": 3,
+            "requests.user": 5,
+            "score_cache.hit": 5,
+            "score_cache.miss": 1,
+        }
+        assert snapshot["rates"] == {"score_cache.hit_rate": 5 / 6}
+        assert snapshot["batches"]["count"] == 10
+
+        payload = metrics.payload()
+        assert sorted(payload["counters"]) == sorted(snapshot["counters"])
+        assert sorted(payload["gauges"]) == ["engine.model_version"]
+        assert sorted(payload["histograms"]) == ["batch.occupancy"] + [
+            "stage." + name for name in sorted(stage_counts)
+        ]
+        types = [
+            line
+            for line in metrics.exposition().splitlines()
+            if line.startswith("# TYPE")
+        ]
+        assert types == [
+            "# TYPE repro_batch_flushes_total counter",
+            "# TYPE repro_batch_requests_total counter",
+            "# TYPE repro_engine_swaps_total counter",
+            "# TYPE repro_requests_adhoc_total counter",
+            "# TYPE repro_requests_group_total counter",
+            "# TYPE repro_requests_user_total counter",
+            "# TYPE repro_score_cache_hit_total counter",
+            "# TYPE repro_score_cache_miss_total counter",
+            "# TYPE repro_engine_model_version gauge",
+            "# TYPE repro_batch_occupancy histogram",
+            "# TYPE repro_stage_batch_execute histogram",
+            "# TYPE repro_stage_batch_queue_wait histogram",
+            "# TYPE repro_stage_engine_adhoc_stage histogram",
+            "# TYPE repro_stage_engine_group_stage histogram",
+            "# TYPE repro_stage_engine_request histogram",
+            "# TYPE repro_stage_engine_swap histogram",
+            "# TYPE repro_stage_engine_user_stage histogram",
+            "# TYPE repro_stage_score_cache_block_compute histogram",
+        ]

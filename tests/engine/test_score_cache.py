@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.score_cache import LRUCache, ScoreCache
-from repro.engine.telemetry import Telemetry
+from repro.obs.metrics_registry import MetricsRegistry
 
 
 def toy_scorer(users, items):
@@ -41,19 +41,70 @@ class TestLRUCache:
         assert cache.get("b") == 2
 
     def test_telemetry_counters(self):
-        telemetry = Telemetry()
-        cache = LRUCache(capacity=1, telemetry=telemetry, name="x")
+        registry = MetricsRegistry()
+        cache = LRUCache(capacity=1, registry=registry, name="x")
         cache.get("missing")
         cache.put("a", 1)
         cache.get("a")
         cache.put("b", 2)  # evicts
-        assert telemetry.counter("x.hit") == 1
-        assert telemetry.counter("x.miss") == 1
-        assert telemetry.counter("x.evict") == 1
+        assert registry.counter("x.hit").value == 1
+        assert registry.counter("x.miss").value == 1
+        assert registry.counter("x.evict").value == 1
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             LRUCache(capacity=0)
+
+    def test_standalone_caches_count_privately(self):
+        first, second = LRUCache(capacity=1), LRUCache(capacity=1)
+        first.get("missing")
+        assert first.registry is not second.registry
+        assert first.registry.counter("lru.miss").value == 1
+        assert second.registry.counters() == {}
+
+
+class TestScoreCacheRegistry:
+    def test_blocks_count_into_the_cache_registry(self):
+        cache = ScoreCache(toy_scorer, num_users=10, num_items=7, block_rows=5)
+        assert cache._blocks.registry is cache.registry
+        cache.scores_for_user(0)
+        cache.scores_for_user(1)
+        assert cache.registry.counter("score_cache.miss").value == 1
+        assert cache.registry.counter("score_cache.hit").value == 1
+        assert ScoreCache(toy_scorer, 10, 7).registry is not cache.registry
+
+    @pytest.mark.parametrize("block_rows, blocks", [(1, 10), (4, 3), (10, 1)])
+    def test_one_compute_sample_per_materialized_block(self, block_rows, blocks):
+        registry = MetricsRegistry()
+        cache = ScoreCache(
+            toy_scorer, num_users=10, num_items=7, block_rows=block_rows,
+            registry=registry,
+        )
+        cache.warm()
+        cache.warm()  # every block resident: no recompute
+        assert registry.histogram("stage.score_cache.block_compute").count == blocks
+        assert registry.counter("score_cache.miss").value == blocks
+
+    def test_failed_compute_records_no_latency_and_caches_nothing(self):
+        calls = []
+
+        def flaky(users, items):
+            calls.append(users.size)
+            if len(calls) == 1:
+                raise RuntimeError("scorer down")
+            return toy_scorer(users, items)
+
+        registry = MetricsRegistry()
+        cache = ScoreCache(flaky, num_users=4, num_items=3, block_rows=4, registry=registry)
+        with pytest.raises(RuntimeError, match="scorer down"):
+            cache.scores_for_user(0)
+        assert cache.resident_blocks == 0
+        assert "stage.score_cache.block_compute" not in registry.histograms()
+        assert np.array_equal(
+            cache.scores_for_user(0), toy_scorer(np.zeros(3, np.int64), np.arange(3))
+        )
+        assert registry.histogram("stage.score_cache.block_compute").count == 1
+        assert registry.counter("score_cache.miss").value == 2
 
 
 class TestScoreCacheBlocks:
@@ -73,20 +124,20 @@ class TestScoreCacheBlocks:
             assert np.array_equal(row, cache.scores_for_user(int(user)))
 
     def test_lazy_materialization_hit_miss(self):
-        telemetry = Telemetry()
+        registry = MetricsRegistry()
         cache = ScoreCache(
-            toy_scorer, num_users=10, num_items=7, block_rows=5, telemetry=telemetry
+            toy_scorer, num_users=10, num_items=7, block_rows=5, registry=registry
         )
         assert cache.resident_blocks == 0
         cache.scores_for_user(0)  # miss: materializes block 0
         cache.scores_for_user(1)  # hit: same block
         cache.scores_for_user(7)  # miss: block 1
         assert cache.resident_blocks == 2
-        assert telemetry.counter("score_cache.miss") == 2
-        assert telemetry.counter("score_cache.hit") == 1
+        assert registry.counter("score_cache.miss").value == 2
+        assert registry.counter("score_cache.hit").value == 1
 
     def test_budget_evicts_and_recomputes(self):
-        telemetry = Telemetry()
+        registry = MetricsRegistry()
         # One block = 5 rows * 7 items * 8 bytes = 280 bytes; budget of
         # 300 keeps exactly one block resident.
         cache = ScoreCache(
@@ -95,15 +146,15 @@ class TestScoreCacheBlocks:
             num_items=7,
             block_rows=5,
             memory_budget_bytes=300,
-            telemetry=telemetry,
+            registry=registry,
         )
         row_0 = cache.scores_for_user(0)
         cache.scores_for_user(7)  # evicts block 0
         assert cache.resident_blocks == 1
-        assert telemetry.counter("score_cache.evict") == 1
+        assert registry.counter("score_cache.evict").value == 1
         # Recomputed block is identical.
         assert np.array_equal(cache.scores_for_user(0), row_0)
-        assert telemetry.counter("score_cache.miss") == 3
+        assert registry.counter("score_cache.miss").value == 3
 
     def test_warm_all_and_subset(self):
         cache = ScoreCache(toy_scorer, num_users=10, num_items=7, block_rows=4)

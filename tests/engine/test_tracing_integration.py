@@ -171,14 +171,14 @@ class TestConcurrentTracing:
 
                 # Counters are exact under concurrency.
                 total = threads * per_thread
-                telemetry = engine.telemetry
+                registry = engine.registry
                 by_kind = (
-                    telemetry.counter("requests.user")
-                    + telemetry.counter("requests.group")
-                    + telemetry.counter("requests.adhoc")
+                    registry.counter("requests.user").value
+                    + registry.counter("requests.group").value
+                    + registry.counter("requests.adhoc").value
                 )
                 assert by_kind == total
-                snapshot = telemetry.snapshot()
+                snapshot = engine.telemetry_snapshot()
                 assert snapshot["stages"]["engine.request"]["count"] == total
                 assert snapshot["counters"]["batch.requests"] == total
 

@@ -110,10 +110,19 @@ class TestCli:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err and "top-" not in captured.out
 
-    @pytest.mark.parametrize("command", ["frobnicate", "serve-bench", "online-bench"])
+    @pytest.mark.parametrize(
+        "command", ["frobnicate", "serve-bench", "online-bench", "obs-report"]
+    )
     def test_unknown_command_rejected(self, command):
         with pytest.raises(SystemExit):
             main([command])
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert "{generate,train,evaluate,recommend,profile}" in out
 
     def test_profile_writes_report_and_trace(self, workspace, tmp_path):
         data, __ = workspace

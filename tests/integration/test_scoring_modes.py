@@ -216,7 +216,7 @@ def test_service_modes_return_the_reference_list(world, mode):
         if mode == "engine_one_block":
             # One resident block: hopping across users evicted all along.
             assert service.engine.score_cache.resident_blocks == 1
-            assert service.engine.telemetry.counter("score_cache.evict") > 0
+            assert service.engine.registry.counter("score_cache.evict").value > 0
         if mode == "engine_ann":
             counters = service.telemetry_snapshot()["counters"]
             assert counters["ann.queries"] > 0 and counters["ann.candidates"] > 0

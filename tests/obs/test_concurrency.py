@@ -12,7 +12,6 @@ import threading
 
 from repro.obs.metrics_registry import MetricsRegistry
 from repro.obs.spans import RemoteSpanRecorder, Tracer, adopt_remote_spans, span
-from repro.obs.timeseries import TimeSeriesStore
 
 
 def _run(workers, duration=0.2):
@@ -42,7 +41,6 @@ def _run(workers, duration=0.2):
 class TestScrapeWhileMerge:
     def test_exposition_and_sampling_race_merges(self):
         target = MetricsRegistry()
-        store = TimeSeriesStore()
         merges = []
 
         def merge():
@@ -62,7 +60,8 @@ class TestScrapeWhileMerge:
                 if line.startswith("repro_latency_bucket"):
                     assert "le=" in line
             target.payload()
-            store.sample_registry(target)
+            for state in target.state()["histograms"].values():
+                assert sum(state["counts"]) == state["count"]
 
         errors = _run([merge, merge, scrape, scrape])
         assert errors == []

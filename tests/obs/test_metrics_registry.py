@@ -255,3 +255,39 @@ class TestExport:
         assert serving["kind"] == "serving"
         assert serving["data"]["metrics"]["counters"]["n"] == 1
         assert "repro_n_total 1" in serving["data"]["exposition"]
+
+    @pytest.mark.parametrize(
+        "with_registry, with_tracer, sections",
+        [
+            (True, True, ["exposition", "metrics", "spans"]),
+            (True, False, ["exposition", "metrics"]),
+            (False, True, ["spans"]),
+            (False, False, []),
+        ],
+    )
+    def test_serving_report_sections(self, with_registry, with_tracer, sections):
+        from repro.obs.spans import Tracer, span
+
+        registry = MetricsRegistry()
+        registry.histogram("stage.engine.request").observe(0.002)
+        with Tracer(seed=0) as tracer:
+            with span("root"):
+                pass
+        report = make_serving_report(
+            registry=registry if with_registry else None,
+            tracer=tracer if with_tracer else None,
+            meta={"worker": 3},
+        )
+        assert is_report(report)
+        assert report["meta"] == {"worker": 3}
+        assert sorted(report["data"]) == sections
+        if with_registry:
+            histograms = report["data"]["metrics"]["histograms"]
+            assert histograms["stage.engine.request"]["p99"] == 0.002
+        if with_tracer:
+            assert report["data"]["spans"]["traces_kept"] == 1
+        json.dumps(report)
+
+    def test_serving_report_takes_no_telemetry_section(self):
+        with pytest.raises(TypeError, match="telemetry"):
+            make_serving_report(telemetry=object())

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine.telemetry import Telemetry
 from repro.obs import RECORD_SCHEMA, RunMetrics, is_report, make_report
 from repro.training import TrainingConfig
 from repro.training.callbacks import EpochLog
@@ -104,16 +103,6 @@ class TestUnifiedReportShape:
         assert report["data"]["epochs_logged"] == len(metrics.records)
         assert set(report["data"]["tasks"]) == {"user", "group"}
         json.dumps(report)  # must be serializable as-is
-
-    def test_engine_telemetry_shares_the_envelope(self):
-        telemetry = Telemetry()
-        telemetry.increment("cache.hit")
-        with telemetry.time("score"):
-            pass
-        report = telemetry.report(meta={"engine": "test"})
-        assert is_report(report)
-        assert report["kind"] == "serving_telemetry"
-        assert report["data"] == telemetry.snapshot()
 
     def test_envelope_rejects_bad_kind(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Tracer: span trees, sampling rules, JSONL log, Chrome export."""
 
+import gc
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.obs.spans import (
     _NOOP,
     capture_context,
     current_span,
+    get_active_tracer,
     record_span,
     span,
     tracing_enabled,
@@ -202,6 +205,69 @@ class TestExport:
         assert by_name["child"]["parent_id"] == by_name["root"]["span_id"]
         assert by_name["root"]["attrs"]["k"] == 2
         assert by_name["root"]["dur_ms"] >= 0.0
+
+    def test_with_block_closes_the_span_log(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with Tracer(seed=0, jsonl_path=str(path)) as tracer:
+            for name in ("first", "second"):
+                with span(name):
+                    with span("child"):
+                        pass
+        assert tracer._jsonl_handle is None or tracer._jsonl_handle.closed
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["span_id"] for line in lines] == [
+            s.span_id for s in tracer.finished_spans()
+        ]
+        assert len(tracer.traces()) == 2
+        # A second install appends to the same log.
+        with tracer:
+            with span("third"):
+                pass
+        assert len(path.read_text().splitlines()) == 5
+        assert tracer._jsonl_handle is None or tracer._jsonl_handle.closed
+
+    def test_with_block_leaves_nothing_for_the_collector(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with Tracer(seed=0, jsonl_path=str(path)):
+                with span("root"):
+                    pass
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_with_block_closes_the_span_log_when_the_body_raises(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with pytest.raises(ValueError, match="bad request"):
+            with Tracer(sample_rate=0.0, seed=0, jsonl_path=str(path)) as tracer:
+                with span("root"):
+                    raise ValueError("bad request")
+        assert get_active_tracer() is None
+        assert tracer._jsonl_handle is None or tracer._jsonl_handle.closed
+        (line,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert line["name"] == "root"
+        assert tracer.summary()["kept_error"] == 1
+
+    def test_close_is_idempotent(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with Tracer(seed=0, jsonl_path=str(path)) as tracer:
+            with span("root"):
+                pass
+        tracer.close()
+        tracer.close()
+        assert get_active_tracer() is None
+        assert [s.name for s in tracer.finished_spans()] == ["root"]
+
+    def test_in_memory_tracer_reenters(self):
+        tracer = Tracer(seed=0)
+        for name in ("first", "second"):
+            with tracer:
+                with span(name):
+                    pass
+            assert get_active_tracer() is None
+        assert [s.name for s in tracer.finished_spans()] == ["first", "second"]
+        assert tracer.summary()["traces_kept"] == 2
 
     def test_chrome_trace_export(self, tmp_path):
         with Tracer(seed=0) as tracer:

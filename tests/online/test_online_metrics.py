@@ -108,19 +108,3 @@ class TestBatchMetricsStream:
         trainer.consume(EventLogReader(event_log))
         gauge = trainer.registry.gauges()["online.replay_lag_bytes"]
         assert gauge.value == 0.0  # fully drained
-
-
-class TestCliWiring:
-    def test_obs_report_command_registered(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            [
-                "obs-report", "--mode", "cluster", "--drift", "0.9",
-                "--inject-latency-ms", "250", "--json", "ops.json",
-                "--html", "ops.html",
-            ]
-        )
-        assert args.mode == "cluster"
-        assert args.inject_latency_ms == 250.0
-        assert args.json == "ops.json" and args.html == "ops.html"
