@@ -28,11 +28,19 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.groupsa import GroupSA
 from repro.persistence import TrainingState, atomic_write, load_checkpoint
-from repro.training.checkpointing import CheckpointManager
+from repro.training.checkpointing import BEST_CHECKPOINT_NAME, CheckpointManager
 
 PathLike = Union[str, Path]
 
 LATEST_NAME = "LATEST.json"
+
+#: What ``atomic_write`` leaves for each file a publish replaces when
+#: the process dies before its rename (``.<name>.<random>.tmp``).
+_TEMPORARIES = (
+    ".ckpt-*.npz.*.tmp",
+    f".{BEST_CHECKPOINT_NAME}.*.tmp",
+    f".{LATEST_NAME}.*.tmp",
+)
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,16 @@ class SnapshotPublisher:
         self.manager = CheckpointManager(self.directory, keep_last=keep_last)
 
     def _prune_orphans(self) -> None:
-        """Drop checkpoints newer than ``LATEST`` (crash mid-publish)."""
+        """Drop checkpoints newer than ``LATEST`` and the temporaries of
+        an ``atomic_write`` killed mid-write (crash mid-publish)."""
         latest = read_latest(self.directory)
         floor = latest.version if latest is not None else 0
         for path in self.directory.glob("ckpt-*.npz"):
             stem = path.stem.split("-")[-1]
             if stem.isdigit() and int(stem) > floor:
+                path.unlink(missing_ok=True)
+        for pattern in _TEMPORARIES:
+            for path in self.directory.glob(pattern):
                 path.unlink(missing_ok=True)
 
     @property

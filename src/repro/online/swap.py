@@ -44,7 +44,7 @@ from typing import Optional, Union
 from repro.obs.metrics_registry import MetricsRegistry
 from repro.obs.spans import span
 from repro.online.snapshots import SnapshotInfo, read_latest
-from repro.persistence import load_checkpoint
+from repro.persistence import load_model
 
 PathLike = Union[str, "object"]
 
@@ -112,7 +112,9 @@ class ModelSwapper:
         with span("swap", version=info.version):
             try:
                 with span("swap.load", version=info.version):
-                    model, __ = load_checkpoint(info.path)
+                    # The serving half only: the Adam moments a
+                    # snapshot carries for resume are never read here.
+                    model = load_model(info.path)
             except FileNotFoundError:
                 # keep-last-N pruned it under us; a newer pointer exists.
                 self.registry.counter("swap.pruned_misses").inc()

@@ -68,13 +68,10 @@ class OnlineTrainerConfig:
         Events per micro-batch; a task's buffer steps when it fills.
     publish_every_steps:
         Optimizer steps between snapshot publishes.
-    keep_last:
-        Snapshot retention (checkpoint keep-last-N).
     """
 
     batch_size: int = 32
     publish_every_steps: int = 8
-    keep_last: int = 3
 
 
 def _degenerate_split(dataset: GroupRecommendationDataset) -> DataSplit:

@@ -1,5 +1,7 @@
 """Streaming trainer: bit-exact offline parity and kill/resume replay."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,33 @@ class TestPublishing:
         retained = sorted((tmp_path / "snap").glob("ckpt-*.npz"))
         assert len(retained) <= 3
         assert publisher.latest.version == trainer.model_version
+
+    def test_construction_prunes_what_a_killed_publish_left(
+        self, tiny_split, tmp_path
+    ):
+        """A SIGKILL mid-publish leaves a checkpoint newer than LATEST, or
+        the temporary of any of the three files a publish replaces."""
+        directory = tmp_path / "snap"
+        published = SnapshotPublisher(directory).publish(_fresh_model(tiny_split))
+        planted = (
+            "ckpt-000002.npz",
+            ".ckpt-000002.npz.k1l2m3.tmp",
+            ".best.npz.x9y8z7.tmp",
+            ".LATEST.json.q4r5s6.tmp",
+        )
+        for name in (*planted, "unrelated.tmp"):
+            (directory / name).write_bytes(b"torn")
+        SnapshotPublisher(directory)
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            [published.path.name, "LATEST.json", "unrelated.tmp"]
+        )
+
+    def test_config_fields_are_pinned(self):
+        # Retention is SnapshotPublisher(keep_last=), not a trainer knob.
+        assert [f.name for f in dataclasses.fields(OnlineTrainerConfig)] == [
+            "batch_size",
+            "publish_every_steps",
+        ]
 
     def test_ingest_validates_ranges(self, tiny_split, dataset, tmp_path):
         from repro.online import InteractionEvent

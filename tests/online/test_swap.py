@@ -18,7 +18,7 @@ from repro.online import (
     SnapshotPublisher,
     generate_events,
 )
-from repro.persistence import load_checkpoint
+from repro.persistence import load_checkpoint, load_model
 from repro.serving import RecommendationService
 from repro.training.trainer import TrainingConfig
 from repro.training.two_stage import build_model
@@ -70,9 +70,9 @@ def _counted_once_then_skipped(swapper, failure, raising, service, serving, monk
 
     def recording_load(path, *args, **kwargs):
         loads.append(path)
-        return load_checkpoint(path, *args, **kwargs)
+        return load_model(path, *args, **kwargs)
 
-    monkeypatch.setattr(swap_module, "load_checkpoint", recording_load)
+    monkeypatch.setattr(swap_module, "load_model", recording_load)
     for __ in range(10):
         assert swapper.check_once() is None
     assert loads == []
@@ -158,6 +158,36 @@ class TestCheckOnce:
             assert swapper.check_once() == good
             assert loads == [good.path]
             assert service.recommend_for_user(3, k=5).model_version == good.version
+        finally:
+            service.close()
+
+    def test_reads_no_optimizer_state(
+        self, tiny_split, dataset, tmp_path, monkeypatch
+    ):
+        """A swap reads the serving half of a snapshot: the Adam moments
+        and trainer metadata it carries for resume stay unread."""
+        trainer = _trainer(tiny_split, dataset, tmp_path / "snap")
+        trainer.publish()
+        service, __ = _service_at(tmp_path / "snap", dataset)
+        try:
+            _feed(trainer, dataset, 20, seed=3)
+            info = trainer.publish()
+            with np.load(info.path) as archive:
+                assert any(name.startswith("optim/") for name in archive.files)
+            read = []
+            getitem = np.lib.npyio.NpzFile.__getitem__
+
+            def recording(archive, key):
+                read.append(key)
+                return getitem(archive, key)
+
+            monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+            assert ModelSwapper(service, tmp_path / "snap").check_once() == info
+            monkeypatch.undo()
+            assert any(key.startswith("param/") for key in read)
+            assert [k for k in read if k.startswith("optim/")] == []
+            assert "__train_meta__" not in read
+            assert service.model_version == info.version
         finally:
             service.close()
 

@@ -6,12 +6,14 @@ import json
 import os
 import shutil
 import stat
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro import persistence
 from repro.cluster.weights import write_model_store
+from repro.online import OnlineTrainer, OnlineTrainerConfig, generate_events
 from repro.online.snapshots import SnapshotPublisher
 from repro.persistence import (
     checkpoint_info,
@@ -23,6 +25,10 @@ from repro.persistence import (
     save_model,
 )
 from repro.training import CheckpointManager
+from repro.training.trainer import TrainingConfig
+from repro.training.two_stage import build_model
+
+from tests.conftest import TINY_MODEL_CONFIG
 
 
 def _rewrite(path, **overrides):
@@ -132,7 +138,7 @@ def _publish(model, directory):
 
 #: target file -> (what writes it, the serializer its ``write`` calls)
 WRITERS = {
-    "model.npz": (_save, (np, "savez_compressed")),
+    "model.npz": (_save, (np, "savez")),
     "best.npz": (_mirror, (shutil, "copyfileobj")),
     "LATEST.json": (_publish, (json, "dump")),
     "manifest.json": (write_model_store, (json, "dump")),
@@ -233,6 +239,52 @@ class TestOnDiskNames:
         assert set(manifest["arrays"]) == arrays
         assert set(manifest["meta"]) == {"config", "num_users", "num_items", "dtype"}
         assert manifest["meta"]["config"] == str(np.load(tmp_path / "model.npz")["__config__"])
+
+
+def _resumable(tiny_split, directory):
+    """(model, path): a published snapshot carrying optimizer moments,
+    RNG state and the online schedule payload beside the weights."""
+    model, __ = build_model(tiny_split, TINY_MODEL_CONFIG)
+    trainer = OnlineTrainer(
+        model,
+        tiny_split.train,
+        SnapshotPublisher(directory),
+        config=OnlineTrainerConfig(batch_size=8),
+        training=TrainingConfig(batch_size=8, grad_clip=0.0, seed=3),
+    )
+    for event in generate_events(tiny_split.train, 24, rng=np.random.default_rng(3)):
+        trainer.ingest(event)
+    return model, trainer.publish().path
+
+
+class TestStoredEncoding:
+    """Archives are written uncompressed; deflated ones still load."""
+
+    def test_every_member_is_stored(self, tiny_split, tmp_path):
+        __, path = _resumable(tiny_split, tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert any(m.filename.startswith("optim/") for m in members)
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+
+    def test_deflated_archive_loads_the_same(self, tiny_split, tmp_path):
+        model, path = _resumable(tiny_split, tmp_path)
+        deflated = tmp_path / "deflated.npz"
+        with np.load(path, allow_pickle=False) as archive:
+            np.savez_compressed(deflated, **dict(archive))
+        with zipfile.ZipFile(deflated) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        loaded, state = load_checkpoint(deflated)
+        __, stored = load_checkpoint(path)
+        for name, weight in model.state_dict().items():
+            assert np.array_equal(loaded.state_dict()[name], weight), name
+        assert roundtrip_equal(load_model(deflated), model)
+        moments = state.trainer["optimizer"].pop("arrays")
+        stored_moments = stored.trainer["optimizer"].pop("arrays")
+        assert moments and moments.keys() == stored_moments.keys()
+        for key in moments:
+            assert np.array_equal(moments[key], stored_moments[key]), key
+        assert state == stored
 
 
 class TestTrainingStatePayload:
