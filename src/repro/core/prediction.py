@@ -60,9 +60,11 @@ class PredictionTower(Module):
         """Inference twin of :meth:`forward` on plain arrays (no dropout).
 
         ``items`` is (n, d); ``left`` is (n, d) rows aligned with it, or
-        one (d,) entity scored against all n — the first layer then
-        splits at the concatenation, ``W [l ⊕ i ⊕ l*i] = W_l l + (W_r +
-        diag(l) W_p) i``, and the entity's term is computed once.
+        one (d,) entity scored against all n.  Either way the first
+        layer splits at the concatenation, ``W [l ⊕ i ⊕ l*i] = W_l l +
+        W_r i + W_p (l*i)``, so no (n, 3d) input is built; the one
+        entity folds its product block into the items' weight,
+        ``(W_r + diag(l) W_p) i``, and its own term is computed once.
         """
         layers = [*self.hidden_layers, self.scorer]
         dim = items.shape[1]
@@ -71,7 +73,9 @@ class PredictionTower(Module):
             x = items @ (weight[dim : 2 * dim] + left[:, None] * weight[2 * dim :])
             x += left @ weight[:dim]
         else:
-            x = np.concatenate([left, items, left * items], axis=1) @ weight
+            x = left @ weight[:dim]
+            x += items @ weight[dim : 2 * dim]
+            x += (left * items) @ weight[2 * dim :]
         for layer, following in zip(layers, layers[1:]):
             x += layer.bias.data
             np.maximum(x, 0.0, out=x)

@@ -17,7 +17,6 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn import (
-    MASK_VALUE,
     Dropout,
     LayerNorm,
     Linear,
@@ -166,27 +165,40 @@ class GroupAggregation(Module):
         """Inference twin of :meth:`forward` for one group against n items.
 
         ``voted`` (L, d) and ``member_mask`` (L,) are the group's one
-        row, ``items`` is (n, d).  Eq. (9) splits at the concatenation,
-        ``W1 [emb^V ⊕ member] = W_q emb^V + W_c member``: the members'
-        term is one (L, h) block, the items' one (n, d) product.
+        row, ``items`` is (n, d).  Only the row's valid members are
+        scored.  Eq. (9) splits at the concatenation, ``W1 [emb^V ⊕
+        member] = W_q emb^V + W_c member``: the items' term is one
+        (n, h) product, and each member's hidden layer is that product
+        plus the member's (h,) row — one (n, h) slab at a time, ReLU'd
+        in place and reduced to the member's logits.  Padding costs
+        nothing and gets weight exactly 0; a row with no valid member
+        gets no weight at all and the zero vector as its aggregate.
         Returns (group representations (n, d), gamma (n, L)).
         """
         attention = self.member_attention
-        dim = items.shape[1]
-        weight = attention.score_hidden.weight.data
-        hidden = (items @ weight[:dim])[:, None, :] + (
-            voted @ weight[dim:] + attention.score_hidden.bias.data
-        )
-        np.maximum(hidden, 0.0, out=hidden)
-        logits = hidden @ attention.score_out.weight.data[:, 0]
-        logits += attention.score_out.bias.data
-        logits += np.where(member_mask, 0.0, MASK_VALUE).astype(logits.dtype)
-        logits -= logits.max(axis=1, keepdims=True)
-        gamma = np.exp(logits, out=logits)
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        if member_mask.any():
-            aggregated = gamma @ voted
-        else:  # no valid member: the zero vector, not padding garbage
+        valid = np.flatnonzero(member_mask)
+        gamma = np.zeros((len(items), member_mask.size), dtype=items.dtype)
+        if valid.size:
+            members = voted[valid]
+            dim = items.shape[1]
+            weight = attention.score_hidden.weight.data
+            item_term = items @ weight[:dim]
+            member_terms = members @ weight[dim:] + attention.score_hidden.bias.data
+            scorer = attention.score_out.weight.data[:, 0]
+            # (valid, n): each member's logits are one contiguous row.
+            logits = np.empty((valid.size, len(items)), dtype=items.dtype)
+            hidden = np.empty_like(item_term)
+            for row, member_term in zip(logits, member_terms):
+                np.add(item_term, member_term, out=hidden)
+                np.maximum(hidden, 0.0, out=hidden)
+                np.matmul(hidden, scorer, out=row)
+            logits += attention.score_out.bias.data
+            logits -= logits.max(axis=0)
+            weights = np.exp(logits, out=logits)
+            weights /= weights.sum(axis=0)
+            gamma[:, valid] = weights.T
+            aggregated = weights.T @ members
+        else:
             aggregated = np.zeros_like(items)
         transformed = aggregated @ self.output.weight.data
         transformed += self.output.bias.data

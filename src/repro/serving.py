@@ -27,7 +27,7 @@ Three execution modes share this surface, and one scoring core
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,7 +217,7 @@ class RecommendationService:
         with span(
             "service.recommend_for_user", mode=self._mode(), user=int(user), k=k
         ) as root:
-            topk = self._topk("user", user, k)
+            topk, __ = self._topk("user", user, k)
             return self._recommendation(f"user:{user}", topk, None, root)
 
     def recommend_for_group(self, group: int, k: int = 10) -> Recommendation:
@@ -226,8 +226,10 @@ class RecommendationService:
         with span(
             "service.recommend_for_group", mode=self._mode(), group=int(group), k=k
         ) as root:
-            topk = self._topk("group", group, k)
-            weights = self._explain(group, int(topk[0][0])) if topk[0].size else None
+            topk, model = self._topk("group", group, k)
+            weights = None
+            if topk[0].size:
+                weights = self._explain(model, group, int(topk[0][0]))
             return self._recommendation(f"group:{group}", topk, weights, root)
 
     def recommend_for_members(
@@ -249,10 +251,10 @@ class RecommendationService:
         ) as root:
             # One batch serves ranking, scores and the explanation.
             adhoc = self._views.adhoc(canonical)
-            topk = self._topk("adhoc", canonical, k, adhoc)
+            topk, model = self._topk("adhoc", canonical, k, adhoc)
             weights = None
             if topk[0].size:
-                gamma = self.model.member_attention(adhoc[0], topk[0][:1])[0]
+                gamma = model.member_attention(adhoc[0], topk[0][:1])[0]
                 # gamma follows the ad-hoc batch's member axis, which is
                 # exactly `canonical`; zip them explicitly.
                 weights = {int(m): float(w) for m, w in zip(canonical, gamma)}
@@ -266,22 +268,32 @@ class RecommendationService:
             return "cluster"
         return "engine" if self.engine is not None else "direct"
 
-    def _explain(self, group: int, item: int) -> Dict[int, float]:
+    def _explain(self, model: GroupSA, group: int, item: int) -> Dict[int, float]:
         members = self.dataset.group_members[group]
-        gamma = self.model.member_attention(
+        gamma = model.member_attention(
             self._views.batcher.batch([group]), np.array([item])
         )[0]
         return {int(m): float(w) for m, w in zip(members, gamma[: members.size])}
 
-    def _topk(self, kind: str, arg, k: int, adhoc=None) -> VersionedTopK:
-        """The one dispatch: router, else engine, else the direct scorer."""
+    def _topk(
+        self, kind: str, arg, k: int, adhoc=None
+    ) -> Tuple[VersionedTopK, GroupSA]:
+        """The one dispatch: router, else engine, else the direct scorer.
+
+        Also returns the model to explain the list with.  In direct mode
+        that is the model that ranked it; the engine and the router read
+        ``self.model`` after ranking, so a swap landing in between can
+        still pair their list with another version's explanation.
+        """
         if self.router is not None:
-            return self.router.topk(kind, arg, k)
+            return self.router.topk(kind, arg, k), self.model
         if self.engine is not None:
-            return self.engine.topk(kind, arg, k, versioned=True, adhoc=adhoc)
-        scorer = self._scorer  # one read: list and version from one model
+            topk = self.engine.topk(kind, arg, k, versioned=True, adhoc=adhoc)
+            return topk, self.model
+        scorer = self._scorer  # one read: list, version and explanation
         with span("direct.score"):
-            return scorer.rank(kind, arg, k, adhoc=adhoc) + (scorer.version,)
+            topk = scorer.rank(kind, arg, k, adhoc=adhoc) + (scorer.version,)
+        return topk, scorer.model
 
     @staticmethod
     def _recommendation(

@@ -16,7 +16,13 @@ scored alone, inside a mixed call, or in either ``score_group_items``
 form is ``np.array_equal`` (``same``) wherever the BLAS at hand
 computes a row of ``X @ W`` independently of the height of ``X``
 (probed below; true of OpenBLAS's Haswell kernels from a height of 2
-up, which is why the lone entity is doubled).
+up, which is why the lone entity is doubled).  The item half's one
+matrix-vector product, the Eq. (9) logits ``(n, h) @ (h,)``, is not
+height-independent there — a row near the end of a stack takes another
+path — but the calls compared here stack a run's items at the same
+heights and positions, so what it must do is give the same rows
+wherever the stack sits in memory and whatever the other rows hold
+(probed too).
 """
 
 import numpy as np
@@ -62,7 +68,31 @@ def rows_are_height_independent(dtype) -> bool:
     return True
 
 
-EXACT = {name: rows_are_height_independent(name) for name in ("float64", "float32")}
+def matvec_rows_are_their_own(dtype) -> bool:
+    """``(n, h) @ (h,)`` at the attention width: at one height, each row
+    depends on that row alone, not on the stack's address (every offset
+    of a 64-byte line) or on the rows around it."""
+    rng = np.random.default_rng(1)
+    vector = rng.normal(size=32).astype(dtype)
+    for height in (1, 2, 3, 5, 64, 1024, 1500):
+        stack = rng.normal(size=(height, 32)).astype(dtype)
+        want = stack @ vector
+        for offset in range(1, 64 // stack.itemsize):
+            moved = np.empty(stack.size + offset, dtype)[offset:].reshape(stack.shape)
+            moved[...] = stack
+            if not np.array_equal(moved @ vector, want):
+                return False
+        others = rng.normal(size=stack.shape).astype(dtype)
+        others[::2] = stack[::2]
+        if not np.array_equal((others @ vector)[::2], want[::2]):
+            return False
+    return True
+
+
+EXACT = {
+    name: rows_are_height_independent(name) and matvec_rows_are_their_own(name)
+    for name in ("float64", "float32")
+}
 TOLERANCE = {
     "float64": {"rtol": 1e-9, "atol": 1e-13},
     "float32": {"rtol": 1e-4, "atol": 1e-6},

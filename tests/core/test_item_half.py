@@ -115,11 +115,33 @@ def test_aggregation_twin_equals_forward(aggregation, dtype, case):
     assert not gamma[:, ~mask].any()
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_padding_is_invisible(aggregation, dtype, size):
+    """A row padded to the widest group (9 here) is the unpadded row,
+    bit for bit: the padding's values never enter a sum, and its
+    weights are exact zeros."""
+    rng = np.random.default_rng(size)
+    padded = rows(rng, (9, DIM), dtype)  # the tail is garbage, not zeros
+    items = rows(rng, (ROWS, DIM), dtype)
+    mask = np.arange(9) < size
+    representation, gamma = aggregation.aggregate_items(padded, items, mask)
+    want_representation, want_gamma = aggregation.aggregate_items(
+        padded[:size], items, np.ones(size, dtype=bool)
+    )
+    assert gamma.shape == (ROWS, 9)
+    assert np.array_equal(representation, want_representation)
+    assert np.array_equal(gamma[:, :size], want_gamma)
+    assert np.array_equal(gamma[:, size:], np.zeros((ROWS, 9 - size), dtype))
+
+
 def test_fully_masked_group_aggregates_to_exactly_zero(aggregation, dtype):
     mask = np.zeros(5, dtype=bool)
     rng = np.random.default_rng(9)
     voted, items = rows(rng, (5, DIM), dtype), rows(rng, (ROWS, DIM), dtype)
-    representation, __ = aggregation.aggregate_items(voted, items, mask)
+    representation, gamma = aggregation.aggregate_items(voted, items, mask)
+    # No member, no weight: not a softmax over the padding's own logits.
+    assert gamma.shape == (ROWS, 5) and gamma.dtype == np.dtype(dtype)
+    assert not gamma.any()
     want, __ = aggregation_forward(aggregation, voted, items, mask)
     # Eq. (7) over the zero vector: relu(0 W + b) * gate, the same for
     # every item and with nothing of ``voted`` in it.

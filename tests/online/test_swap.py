@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.core import GroupSA
+from repro.core import GroupSA, build_adhoc_batch
+from repro.data import GroupBatcher
+from repro.engine.scorer import Scorer
 from repro.obs.metrics_registry import MetricsRegistry
 from repro.online import swap as swap_module
 from repro.online import (
@@ -351,3 +353,52 @@ class TestWrongSizeSwap:
             assert service.model_version == good.version
         finally:
             service.close()
+
+
+class TestExplanationFollowsTheRankingModel:
+    """Direct mode: a swap that lands between ranking and explaining
+    leaves the response whole — its list, ``model_version`` and
+    ``voting_weights`` all come from the model that ranked."""
+
+    @pytest.fixture
+    def swapped_mid_request(self, trained_tiny_model, tiny_split, dataset, monkeypatch):
+        model = trained_tiny_model[0]
+        successor, __ = build_model(tiny_split, TINY_MODEL_CONFIG.variant(seed=77))
+        service = RecommendationService(model=model, dataset=dataset, model_version=0)
+        rank = Scorer.rank
+
+        def rank_then_swap(scorer, *args, **kwargs):
+            ranked = rank(scorer, *args, **kwargs)
+            if service.model_version == 0:
+                service.apply_model(successor, 1)
+            return ranked
+
+        monkeypatch.setattr(Scorer, "rank", rank_then_swap)
+        return service, {0: model, 1: successor}
+
+    def test_dataset_group(self, swapped_mid_request, dataset):
+        service, models = swapped_mid_request
+        response = service.recommend_for_group(2, k=5)
+        assert response.model_version == 0 and service.model_version == 1
+        batch = GroupBatcher(dataset).batch([2])
+        members = dataset.group_members[2]
+        gamma = {
+            version: model.member_attention(batch, np.array(response.items[:1]))[0]
+            for version, model in models.items()
+        }
+        assert not np.allclose(gamma[0], gamma[1])  # the test has teeth
+        want = dict(zip(members.tolist(), gamma[0][: members.size].tolist()))
+        assert response.voting_weights == want
+
+    def test_adhoc_members(self, swapped_mid_request, dataset):
+        service, models = swapped_mid_request
+        members = [1, 4, 7]
+        response = service.recommend_for_members(members, k=5)
+        assert response.model_version == 0 and service.model_version == 1
+        batch = build_adhoc_batch([members], dataset.friend_set())
+        gamma = {
+            version: model.member_attention(batch, np.array(response.items[:1]))[0]
+            for version, model in models.items()
+        }
+        assert not np.allclose(gamma[0], gamma[1])
+        assert response.voting_weights == dict(zip(members, gamma[0].tolist()))
