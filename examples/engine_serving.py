@@ -44,8 +44,9 @@ def main() -> None:
     print(f"adhoc {{1,3,7}} top-5: {adhoc_rec.items}")
     print(f"  voting weights: {adhoc_rec.voting_weights}")
 
-    # A ScoreCache block fill scores a whole block of users, so all but
-    # the first request per block are hits (see the hit rate below).
+    # A ScoreCache miss scores only the requested user's row, so a
+    # request is a hit only for a user served before (see the hit rate
+    # below); every list must still equal direct mode's.
     users = np.random.default_rng(0).integers(0, train.num_users, size=100)
     for user in users.tolist():
         rec = backed.recommend_for_user(user, k=10)

@@ -6,9 +6,11 @@ the user×item score matrix *the* serving hot path: once it is resident,
 a user Top-K request is a row fetch plus a partition, and a fast group
 request is a fancy-index plus an aggregation.
 
-:class:`ScoreCache` materializes that matrix lazily in row blocks.  A
-memory budget caps how many blocks stay resident (block-level LRU), so
-the cache degrades gracefully on worlds too large to hold densely.
+:class:`ScoreCache` holds that matrix in row blocks and fills it lazily,
+row by row: a miss scores the rows that were asked for, not the block
+around them.  A memory budget caps how many blocks stay resident
+(block-level LRU), so the cache degrades gracefully on worlds too large
+to hold densely.
 
 :class:`LRUCache` is the generic bounded map underneath.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -52,12 +54,17 @@ class LRUCache:
         self._name = name
 
     def get(self, key: Hashable):
+        value = self.touch(key)
+        outcome = "miss" if value is None else "hit"
+        self.registry.counter(f"{self._name}.{outcome}").inc()
+        return value
+
+    def touch(self, key: Hashable):
+        """Lookup that refreshes recency without hit/miss counters."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self.registry.counter(f"{self._name}.hit").inc()
                 return self._entries[key]
-        self.registry.counter(f"{self._name}.miss").inc()
         return None
 
     def peek(self, key: Hashable):
@@ -82,8 +89,23 @@ class LRUCache:
             return key in self._entries
 
 
+class _Block:
+    """One resident row block, allocated unfilled.  A row is written once
+    and ``filled`` marks it only after the write, so a reader that sees
+    the mark sees the whole row."""
+
+    __slots__ = ("rows", "filled")
+
+    def __init__(self, num_rows: int, num_items: int) -> None:
+        self.rows = np.empty((num_rows, num_items))
+        self.filled = np.zeros(num_rows, dtype=bool)
+
+
 class ScoreCache:
-    """Blocked, budgeted user×item score matrix.
+    """Blocked, budgeted user×item score matrix, filled row by row.
+
+    A lookup scores only the requested rows that are not yet filled; a
+    block is the unit of residency and eviction, not of scoring.
 
     Parameters
     ----------
@@ -94,13 +116,14 @@ class ScoreCache:
     block_rows:
         Users per block — the residency and eviction granularity.
     memory_budget_bytes:
-        Cap on resident block bytes.  ``None`` keeps every block (the
-        default — the dense matrix for these worlds is small).  When
-        the budget is smaller than the matrix, least-recently-used
-        blocks are dropped and recomputed on demand.
+        Cap on resident block bytes, counted as if every row were
+        filled.  ``None`` keeps every block (the default — the dense
+        matrix for these worlds is small).  When the budget is smaller
+        than the matrix, least-recently-used blocks are dropped and
+        their rows rescored on demand.
     registry:
-        Where block hits/misses/evictions and block-compute latency are
-        recorded; a private :class:`MetricsRegistry` by default.
+        Where row hits/misses, block evictions and scoring-pass latency
+        are recorded; a private :class:`MetricsRegistry` by default.
     """
 
     def __init__(
@@ -129,7 +152,7 @@ class ScoreCache:
             registry=self.registry,
             name="score_cache",
         )
-        self._compute_lock = threading.Lock()
+        self._fill_lock = threading.Lock()
 
     @property
     def num_blocks(self) -> int:
@@ -141,76 +164,121 @@ class ScoreCache:
 
     # ------------------------------------------------------------------
 
-    def _block_id(self, user: int) -> int:
-        return user // self.block_rows
-
-    def _compute_block(self, block_id: int) -> np.ndarray:
-        start = block_id * self.block_rows
-        stop = min(start + self.block_rows, self.num_users)
+    def _score(self, users: np.ndarray, blocks: int) -> np.ndarray:
+        """One scoring pass: the full rows of ``users``, in order."""
         items = np.arange(self.num_items, dtype=np.int64)
-        rows = np.empty((stop - start, self.num_items))
-        with span("score_cache.block_compute", block=block_id, rows=stop - start):
+        rows = np.empty((users.size, self.num_items))
+        with span("score_cache.block_compute", rows=int(users.size), blocks=blocks):
             began = time.perf_counter()
-            # The scorer evaluates each user's rows as one run whoever
+            # The scorer evaluates each user's row as one run whoever
             # else shares the call, so a cached row is bit-identical to a
             # direct full-row call.  Two calls of whole users: the id
-            # arrays of one never outweigh the block they fill.
-            half = -(-len(rows) // 2)
-            for low in range(0, len(rows), half):
-                users = np.arange(start + low, min(start + low + half, stop))
+            # arrays of one never outweigh the rows they fill.
+            half = -(-users.size // 2)
+            for low in range(0, users.size, half):
+                part = users[low : low + half]
                 rows[low : low + half] = self.score_fn(
-                    np.repeat(users, self.num_items), np.tile(items, users.size)
-                ).reshape(users.size, self.num_items)
+                    np.repeat(part, self.num_items), np.tile(items, part.size)
+                ).reshape(part.size, self.num_items)
             self.registry.histogram("stage.score_cache.block_compute").observe(
                 time.perf_counter() - began
             )
         return rows
 
-    def _get_block(self, block_id: int) -> np.ndarray:
-        block = self._blocks.get(block_id)
-        if block is not None:
-            return block
-        # One computation at a time: concurrent misses for the same
-        # block would otherwise duplicate an expensive forward pass.
-        with self._compute_lock:
-            block = self._blocks.peek(block_id)
-            if block is None:
-                block = self._compute_block(block_id)
-                self._blocks.put(block_id, block)
-        return block
+    def _fill(self, users: np.ndarray) -> Dict[int, _Block]:
+        """Score the rows of ``users`` not yet filled, in one pass, and
+        return the blocks covering ``users``.
+
+        One fill at a time, and the filled marks are read again under
+        the lock, so concurrent misses never score a row twice.  A pass
+        that raises writes nothing and leaves no new block resident.
+        """
+        users = np.unique(users)
+        block_ids = users // self.block_rows
+        with self._fill_lock:
+            blocks: Dict[int, _Block] = {}
+            created = []
+            pending = []
+            for block_id in np.unique(block_ids).tolist():
+                block = self._blocks.touch(block_id)
+                if block is None:
+                    start = block_id * self.block_rows
+                    block = _Block(
+                        min(self.block_rows, self.num_users - start), self.num_items
+                    )
+                    created.append(block_id)
+                blocks[block_id] = block
+                offsets = users[block_ids == block_id] - block_id * self.block_rows
+                offsets = offsets[~block.filled[offsets]]
+                if offsets.size:
+                    pending.append((block_id, offsets))
+            if pending:
+                scored = self._score(
+                    np.concatenate([b * self.block_rows + o for b, o in pending]),
+                    len(pending),
+                )
+                low = 0
+                for block_id, offsets in pending:
+                    block = blocks[block_id]
+                    block.rows[offsets] = scored[low : low + offsets.size]
+                    block.filled[offsets] = True
+                    low += offsets.size
+            for block_id in created:
+                self._blocks.put(block_id, blocks[block_id])
+        return blocks
 
     # ------------------------------------------------------------------
 
     def scores_for_user(self, user: int) -> np.ndarray:
         """All item scores for one user (a matrix row, copied)."""
-        if not 0 <= user < self.num_users:
-            raise IndexError(f"user {user} out of range [0, {self.num_users})")
-        block = self._get_block(self._block_id(user))
-        return block[user - self._block_id(user) * self.block_rows].copy()
+        return self.scores_for_users(np.array([user], dtype=np.int64))[0]
 
     def scores_for_users(self, users: np.ndarray) -> np.ndarray:
-        """Rows for several users as an (n, num_items) matrix."""
+        """Rows for several users as an (n, num_items) matrix.
+
+        The requested rows not yet filled are scored in one pass; a
+        lookup whose rows are all filled never takes the fill lock.
+        ``score_cache.hit`` / ``.miss`` count requested rows.
+        """
         users = np.asarray(users, dtype=np.int64)
         if users.size == 0:
             return np.empty((0, self.num_items))
         if users.min() < 0 or users.max() >= self.num_users:
             raise IndexError(f"user ids out of range [0, {self.num_users})")
         with span("score_cache.lookup", rows=int(users.size)) as lookup:
+            block_ids = users // self.block_rows
+            offsets = users - block_ids * self.block_rows
+            ids = np.unique(block_ids).tolist()
+            # Which requested rows each block serves; one block, the
+            # common case, serves them all.
+            picks = (
+                {ids[0]: slice(None)}
+                if len(ids) == 1
+                else {block_id: block_ids == block_id for block_id in ids}
+            )
+            blocks = {block_id: self._blocks.touch(block_id) for block_id in ids}
+            hits = sum(
+                int(np.count_nonzero(block.filled[offsets[picks[block_id]]]))
+                for block_id, block in blocks.items()
+                if block is not None
+            )
+            misses = users.size - hits
+            self.registry.counter("score_cache.hit").inc(hits)
+            self.registry.counter("score_cache.miss").inc(misses)
+            if misses:
+                blocks = self._fill(users)
             out = np.empty((users.size, self.num_items))
-            misses = 0
-            for block_id in np.unique(users // self.block_rows):
-                if lookup is not None and self._blocks.peek(int(block_id)) is None:
-                    misses += 1
-                block = self._get_block(int(block_id))
-                rows = np.nonzero(users // self.block_rows == block_id)[0]
-                out[rows] = block[users[rows] - int(block_id) * self.block_rows]
+            for block_id, block in blocks.items():
+                out[picks[block_id]] = block.rows[offsets[picks[block_id]]]
             if lookup is not None:
                 lookup.set_attr("hit", misses == 0)
-                lookup.set_attr("blocks_missed", misses)
+                lookup.set_attr("rows_missed", misses)
         return out
 
     def warm(self, users: Optional[np.ndarray] = None) -> None:
-        """Materialize the blocks covering ``users`` (default: all).
+        """Fill every row of the blocks covering ``users`` (default: all),
+        one scoring pass per block with rows still unfilled.  Counts
+        neither hits nor misses.
 
         With a budget smaller than the matrix only the most recently
         warmed blocks stay resident.
@@ -218,7 +286,7 @@ class ScoreCache:
         if users is None:
             block_ids = range(self.num_blocks)
         else:
-            users = np.asarray(users, dtype=np.int64)
-            block_ids = (int(b) for b in np.unique(users // self.block_rows))
+            block_ids = np.unique(np.asarray(users, dtype=np.int64) // self.block_rows)
         for block_id in block_ids:
-            self._get_block(block_id)
+            start = int(block_id) * self.block_rows
+            self._fill(np.arange(start, min(start + self.block_rows, self.num_users)))

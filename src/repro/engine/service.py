@@ -98,7 +98,9 @@ class EngineConfig:
         Seconds the worker waits for stragglers after the first request
         of a batch; ``0.0`` drains greedily without sleeping.
     score_block_rows:
-        Users per score-cache block (residency granularity).
+        Users per score-cache block: the unit of residency and
+        eviction.  A miss scores only the requested rows, not the
+        block; ``warm`` fills whole blocks.
     score_cache_budget_mb:
         Resident score-cache budget in MiB; ``None`` keeps the whole
         user×item matrix.
@@ -292,7 +294,8 @@ class InferenceEngine:
         self.close()
 
     def warm(self, users: Optional[np.ndarray] = None) -> None:
-        """Materialize score-cache blocks ahead of traffic."""
+        """Fill every row of the score-cache blocks covering ``users``
+        (default: all) ahead of traffic."""
         self.score_cache.warm(users)
 
     def telemetry_snapshot(self) -> dict:
@@ -304,7 +307,8 @@ class InferenceEngine:
         self, kind: str, arg, k: int = 10, versioned: bool = False, adhoc=None
     ) -> "Future[TopK]":
         """Validate and queue one ``user`` / ``group`` / ``adhoc`` request;
-        resolves to its :data:`TopK` (plus the version if ``versioned``).
+        resolves to its :data:`TopK`, plus the version and the model that
+        ranked it if ``versioned``.
         ``adhoc`` is :meth:`RequestViews.adhoc` of the members when the
         caller holds it; without it the batch is built at ranking time."""
         payload = self.views.check(kind, arg, k)
@@ -313,8 +317,8 @@ class InferenceEngine:
 
     def topk(self, kind: str, arg, k: int = 10, versioned: bool = False, adhoc=None):
         """:meth:`submit` and wait.  ``versioned`` appends the model
-        version the batch actually executed against (captured
-        atomically with the scores)."""
+        version the batch actually executed against and that model
+        (captured atomically with the scores)."""
         attrs = {"member_count": len(arg)} if kind == "adhoc" else {kind: int(arg)}
         start = time.perf_counter()
         try:
@@ -346,15 +350,15 @@ class InferenceEngine:
         return self.topk("adhoc", members, k)
 
     def topk_user_versioned(self, user: int, k: int = 10) -> VersionedTopK:
-        return self.topk("user", user, k, versioned=True)
+        return self.topk("user", user, k, versioned=True)[:3]
 
     def topk_group_versioned(self, group: int, k: int = 10) -> VersionedTopK:
-        return self.topk("group", group, k, versioned=True)
+        return self.topk("group", group, k, versioned=True)[:3]
 
     def topk_members_versioned(
         self, members: Sequence[int], k: int = 10
     ) -> VersionedTopK:
-        return self.topk("adhoc", members, k, versioned=True)
+        return self.topk("adhoc", members, k, versioned=True)[:3]
 
     canonical_members = staticmethod(canonical_members)
 
@@ -380,8 +384,9 @@ class InferenceEngine:
             )
             for index, result in zip(indices, ranked):
                 results[index] = result
+        served = (state.scorer.version, state.scorer.model)
         return [
-            result + (state.scorer.version,) if payload[3] else result
+            result + served if payload[3] else result
             for payload, result in zip(payloads, results)
         ]  # type: ignore[return-value]
 

@@ -280,16 +280,18 @@ class RecommendationService:
     ) -> Tuple[VersionedTopK, GroupSA]:
         """The one dispatch: router, else engine, else the direct scorer.
 
-        Also returns the model to explain the list with.  In direct mode
-        that is the model that ranked it; the engine and the router read
+        Also returns the model to explain the list with.  In direct and
+        engine mode that is the model that ranked it.  The router reads
         ``self.model`` after ranking, so a swap landing in between can
-        still pair their list with another version's explanation.
+        still pair a cluster list with another version's explanation.
         """
         if self.router is not None:
             return self.router.topk(kind, arg, k), self.model
         if self.engine is not None:
-            topk = self.engine.topk(kind, arg, k, versioned=True, adhoc=adhoc)
-            return topk, self.model
+            items, scores, version, model = self.engine.topk(
+                kind, arg, k, versioned=True, adhoc=adhoc
+            )
+            return (items, scores, version), model
         scorer = self._scorer  # one read: list, version and explanation
         with span("direct.score"):
             topk = scorer.rank(kind, arg, k, adhoc=adhoc) + (scorer.version,)

@@ -167,7 +167,7 @@ class TestEngineTelemetry:
     def test_snapshot_covers_stages_rates_occupancy(self, engine_service):
         engine = engine_service.engine
         engine_service.recommend_for_user(0, k=3)
-        engine_service.recommend_for_user(1, k=3)
+        engine_service.recommend_for_user(0, k=3)  # its row is filled: a hit
         engine_service.recommend_for_members([0, 1], k=3)
         snapshot = engine_service.telemetry_snapshot()
         assert "engine.user_stage" in snapshot["stages"]
@@ -300,7 +300,9 @@ class TestEngineTelemetry:
             "engine.request": 10,
             "engine.swap": 1,
             "engine.user_stage": 5,
-            "score_cache.block_compute": 1,
+            # One pass per user flush (each scores its own missing row),
+            # then warm()'s one pass over the rest of the only block.
+            "score_cache.block_compute": 6,
         }
         assert {
             name: summary["count"] for name, summary in snapshot["stages"].items()
@@ -312,10 +314,10 @@ class TestEngineTelemetry:
             "requests.adhoc": 2,
             "requests.group": 3,
             "requests.user": 5,
-            "score_cache.hit": 5,
-            "score_cache.miss": 1,
+            "score_cache.hit": 0,
+            "score_cache.miss": 5,
         }
-        assert snapshot["rates"] == {"score_cache.hit_rate": 5 / 6}
+        assert snapshot["rates"] == {"score_cache.hit_rate": 0.0}
         assert snapshot["batches"]["count"] == 10
 
         payload = metrics.payload()

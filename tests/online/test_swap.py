@@ -356,15 +356,19 @@ class TestWrongSizeSwap:
 
 
 class TestExplanationFollowsTheRankingModel:
-    """Direct mode: a swap that lands between ranking and explaining
-    leaves the response whole — its list, ``model_version`` and
-    ``voting_weights`` all come from the model that ranked."""
+    """Direct and engine mode: a swap that lands between ranking and
+    explaining leaves the response whole — its list, ``model_version``
+    and ``voting_weights`` all come from the model that ranked."""
 
-    @pytest.fixture
-    def swapped_mid_request(self, trained_tiny_model, tiny_split, dataset, monkeypatch):
+    @pytest.fixture(params=["direct", "engine"])
+    def swapped_mid_request(
+        self, request, trained_tiny_model, tiny_split, dataset, monkeypatch
+    ):
         model = trained_tiny_model[0]
         successor, __ = build_model(tiny_split, TINY_MODEL_CONFIG.variant(seed=77))
         service = RecommendationService(model=model, dataset=dataset, model_version=0)
+        if request.param == "engine":
+            service.enable_engine()
         rank = Scorer.rank
 
         def rank_then_swap(scorer, *args, **kwargs):
@@ -374,7 +378,8 @@ class TestExplanationFollowsTheRankingModel:
             return ranked
 
         monkeypatch.setattr(Scorer, "rank", rank_then_swap)
-        return service, {0: model, 1: successor}
+        yield service, {0: model, 1: successor}
+        service.close()
 
     def test_dataset_group(self, swapped_mid_request, dataset):
         service, models = swapped_mid_request
